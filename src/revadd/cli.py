@@ -12,6 +12,7 @@ below 1.0, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -38,8 +39,16 @@ def _load(target: str) -> Netlist:
     if not os.path.exists(target):
         raise UsageError(f"{target!r} is neither a known design "
                          f"({', '.join(builders.design_names())}) nor a file")
-    with open(target, "r", encoding="ascii") as fh:
-        return parse_netlist(fh.read())
+    try:
+        with open(target, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{target!r} is not an ASCII netlist file "
+                         f"(byte 0x{exc.object[exc.start]:02X} at offset "
+                         f"{exc.start})")
+    except OSError as exc:
+        raise UsageError(f"cannot read {target!r}: {exc.strerror}")
+    return parse_netlist(text)
 
 
 def _operand_groups(line_ids: list[str]) -> dict[str, list[tuple[int, str]]]:
@@ -57,6 +66,19 @@ def _operand_groups(line_ids: list[str]) -> dict[str, list[tuple[int, str]]]:
     for bits in groups.values():
         bits.sort()
     return groups
+
+
+def _sample_count(text: str) -> int:
+    """argparse type for ``--samples``: a check over no vectors checks
+    nothing, so counts below 1 are usage errors."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"sample count must be at least 1, got {count}")
+    return count
 
 
 def _parse_value(text: str) -> int:
@@ -222,7 +244,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify",
                        help="validate + reversibility + parity checks")
     p.add_argument("design")
-    p.add_argument("--samples", type=int, default=4096,
+    p.add_argument("--samples", type=_sample_count, default=4096,
                    help="vectors for sampled parity check on wide netlists")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
@@ -235,7 +257,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("faults", help="run a fault-injection campaign")
     p.add_argument("design")
     p.add_argument("--model", choices=("flip", "sa0", "sa1"), default="flip")
-    p.add_argument("--samples", type=int,
+    p.add_argument("--samples", type=_sample_count,
                    help="vectors per fault site (default: exhaustive)")
     p.add_argument("--seed", type=int)
     p.add_argument("--json", action="store_true")
@@ -248,8 +270,15 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Nothing changes the parser once it is built, and building it costs
+    more than a small request, so main builds it once per process."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    ap = make_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -20,8 +20,8 @@ from random import Random
 
 from .gates import parity
 from .netlist import (EXHAUSTIVE_LIMIT, Netlist, NetlistError, SimResult,
-                      WidthLimitError, evaluate_lines, validate,
-                      variable_masks)
+                      WidthLimitError, _simulate_vector, evaluate_lines,
+                      validate, variable_masks)
 
 FAULT_MODELS = ("flip", "sa0", "sa1")
 
@@ -99,14 +99,7 @@ def simulate_with_fault(net: Netlist, fault: FaultSite, bits) -> SimResult:
     _valid(net)
     if fault.line not in set(net.all_lines()):
         raise KeyError(f"unknown line id {fault.line!r}")
-    bits = tuple(bits)
-    if len(bits) != len(net.inputs):
-        raise ValueError(f"netlist {net.name!r} has {len(net.inputs)} primary "
-                         f"inputs, got {len(bits)} bits")
-    values = evaluate_lines(net, bits, 1, fault=fault)
-    outs = {name: values[lid] for name, lid in net.outputs}
-    garb = tuple(values[lid] for lid in net.garbage)
-    return SimResult(outs, garb)
+    return _simulate_vector(net, bits, fault)
 
 
 def parity_detects(net: Netlist, fault_free_inputs, observed) -> bool:

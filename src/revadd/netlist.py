@@ -16,6 +16,7 @@ special case.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from random import Random
 
 from .gates import ARITY, EVAL, CostVector, GateKind, gate_cost
@@ -286,13 +287,19 @@ def simulate(net: Netlist, bits, check: bool = True) -> SimResult:
     polarity and gates run in topological order."""
     if check:
         _check_valid(net)
+    return _simulate_vector(net, bits)
+
+
+def _simulate_vector(net: Netlist, bits, fault=None) -> SimResult:
+    """One-vector run of a netlist already known to be valid; ``fault`` as
+    for :func:`evaluate_lines`."""
     bits = tuple(bits)
     if len(bits) != len(net.inputs):
         raise ValueError(f"netlist {net.name!r} has {len(net.inputs)} primary "
                          f"inputs, got {len(bits)} bits")
     if any(b not in (0, 1) for b in bits):
         raise ValueError(f"non-binary value in input vector {bits!r}")
-    values = evaluate_lines(net, bits, 1)
+    values = evaluate_lines(net, bits, 1, fault=fault)
     outs = {name: values[lid] for name, lid in net.outputs}
     garb = tuple(values[lid] for lid in net.garbage)
     return SimResult(outs, garb)
@@ -300,44 +307,73 @@ def simulate(net: Netlist, bits, check: bool = True) -> SimResult:
 
 def variable_masks(n: int) -> list[int]:
     """Packed enumeration masks: bit v of masks[i] is bit i of the vector
-    index v, covering all 2^n vectors."""
+    index v, covering all 2^n vectors.
+
+    Each mask starts as one period (2^i zeros, then 2^i ones) and doubles
+    by shift-and-or until it spans 2^n bits: linear in 2^n per mask.
+    """
     total = 1 << n
     masks = []
     for i in range(n):
         block = 1 << i
-        chunk = ((1 << block) - 1) << block
-        period = block << 1
-        reps = total // period
-        mask = chunk * (((1 << (period * reps)) - 1) // ((1 << period) - 1))
+        mask = ((1 << block) - 1) << block
+        width = block << 1
+        while width < total:
+            mask |= mask << width
+            width <<= 1
         masks.append(mask)
     return masks
 
 
-def _require_exhaustive(net: Netlist, limit: int):
+def _evaluate_exhaustive(net: Netlist, limit: int):
+    """Validate ``net``, refuse more than ``limit`` primary inputs, and
+    evaluate every input vector in one word-parallel pass.
+
+    Returns ``(total, input_masks, values)``: the vector count 2^n, the
+    enumeration masks and the mask of every line.
+    """
+    _check_valid(net)
     n = len(net.inputs)
     if n > limit:
         raise WidthLimitError(
             f"netlist {net.name!r} has {n} primary inputs; exhaustive "
             f"enumeration is limited to {limit} (use a sampled check)")
-    return n
+    total = 1 << n
+    masks = variable_masks(n)
+    return total, masks, evaluate_lines(net, masks, (1 << total) - 1)
+
+
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _rows(masks, total: int):
+    """Transpose packed masks into per-vector rows: row v is the tuple of
+    bit v of every mask, for v in 0..total-1.
+
+    Each mask is written out once as a binary string (low bit first), so
+    the cost is linear in ``total * len(masks)``; extracting bit v with a
+    shift would copy the whole mask per vector.  With no masks there are
+    still ``total`` rows, all empty.
+    """
+    if not masks:
+        return repeat((), total)
+    fmt = f"0{total}b"
+    return zip(*(format(m, fmt)[::-1].encode("ascii").translate(_BINARY_DIGITS)
+                 for m in masks))
 
 
 def truth_table(net: Netlist, limit: int = EXHAUSTIVE_LIMIT):
     """Rows of (inputs, outputs, garbage) over all primary-input vectors in
-    lexicographic order (vector index counts input 0 as the low bit)."""
-    _check_valid(net)
-    n = _require_exhaustive(net, limit)
-    total = 1 << n
-    values = evaluate_lines(net, variable_masks(n), (1 << total) - 1)
+    lexicographic order (vector index counts input 0 as the low bit).
+
+    One word-parallel evaluation plus one transpose per boundary line:
+    linear in the number of vectors times the boundary width.
+    """
+    total, in_masks, values = _evaluate_exhaustive(net, limit)
     out_masks = [values[lid] for _, lid in net.outputs]
     garb_masks = [values[lid] for lid in net.garbage]
-    rows = []
-    for v in range(total):
-        ins = tuple((v >> i) & 1 for i in range(n))
-        outs = tuple((m >> v) & 1 for m in out_masks)
-        garb = tuple((m >> v) & 1 for m in garb_masks)
-        rows.append((ins, outs, garb))
-    return rows
+    return list(zip(_rows(in_masks, total), _rows(out_masks, total),
+                    _rows(garb_masks, total)))
 
 
 def _boundary_parity_masks(net: Netlist, values: dict, one: int) -> tuple[int, int]:
@@ -357,18 +393,21 @@ def _boundary_parity_masks(net: Netlist, values: dict, one: int) -> tuple[int, i
 
 def is_parity_preserving_circuit(net: Netlist, limit: int = EXHAUSTIVE_LIMIT) -> bool:
     """Exhaustively check boundary parity conservation over all input vectors."""
-    _check_valid(net)
-    n = _require_exhaustive(net, limit)
-    one = (1 << (1 << n)) - 1
-    values = evaluate_lines(net, variable_masks(n), one)
-    pin, pout = _boundary_parity_masks(net, values, one)
+    total, _, values = _evaluate_exhaustive(net, limit)
+    pin, pout = _boundary_parity_masks(net, values, (1 << total) - 1)
     return pin == pout
 
 
 def is_parity_preserving_circuit_sampled(net: Netlist, samples: int,
                                          seed: int) -> tuple[bool, int]:
-    """Monte-Carlo parity check for wide netlists; returns (verdict, samples)."""
+    """Monte-Carlo parity check for wide netlists; returns (verdict, samples).
+
+    Raises ValueError when ``samples`` is below 1: a check over no vectors
+    would pass without having checked anything.
+    """
     _check_valid(net)
+    if samples < 1:
+        raise ValueError(f"sample count must be positive, got {samples}")
     rng = Random(seed)
     one = (1 << samples) - 1
     masks = [rng.getrandbits(samples) for _ in net.inputs]
@@ -379,22 +418,17 @@ def is_parity_preserving_circuit_sampled(net: Netlist, samples: int,
 
 def is_reversible_circuit(net: Netlist, limit: int = EXHAUSTIVE_LIMIT) -> bool:
     """True iff, with constants fixed, the boundary map from primary inputs
-    to (outputs + garbage) is injective."""
-    _check_valid(net)
-    n = _require_exhaustive(net, limit)
-    total = 1 << n
-    values = evaluate_lines(net, variable_masks(n), (1 << total) - 1)
+    to (outputs + garbage) is injective.
+
+    Linear in the number of vectors times the boundary width: the boundary
+    masks are transposed once and the distinct rows counted.
+    """
+    total, _, values = _evaluate_exhaustive(net, limit)
     masks = [values[lid] for _, lid in net.outputs]
     masks += [values[lid] for lid in net.garbage]
-    seen = set()
-    for v in range(total):
-        image = 0
-        for i, m in enumerate(masks):
-            image |= ((m >> v) & 1) << i
-        if image in seen:
-            return False
-        seen.add(image)
-    return True
+    # as bytes, the rows have the same distinct count as the int tuples
+    # in a fraction of the memory
+    return len(set(map(bytes, _rows(masks, total)))) == total
 
 
 def metrics(net: Netlist) -> MetricsReport:

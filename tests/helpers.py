@@ -1,6 +1,8 @@
 """Shared test utilities: bit packing, oracles, and small fixture netlists."""
 
-from revadd import GateInstance, GateKind, Netlist, truth_table
+from revadd import (ARITY, PARITY_PRESERVING_KINDS, GateInstance, GateKind,
+                    Netlist, NetlistBuilder, truth_table)
+from revadd.netlist import evaluate_lines, variable_masks
 
 
 def int_to_bits(value: int, width: int) -> list[int]:
@@ -51,3 +53,67 @@ def pg_full_adder() -> Netlist:
     ]
     return Netlist("pgfa", ["a", "b", "cin"], [("k0", 0)], gates,
                    [("Sum", "s"), ("Cout", "c")], ["at", "pt"])
+
+
+def random_fanout_free(rng, name: str, inputs: int, constants: int,
+                       max_gates: int, named: str = "some") -> Netlist:
+    """Random fanout-free netlist grown from ``PARITY_PRESERVING_KINDS`` with
+    :class:`NetlistBuilder`.  ``named`` picks which unconsumed lines become
+    named outputs: ``"all"`` (no garbage), ``"none"`` (no named outputs) or
+    ``"some"`` (a random subset); the rest are garbage."""
+    kinds = sorted(PARITY_PRESERVING_KINDS, key=lambda k: k.value)
+    nb = NetlistBuilder(name)
+    free = [nb.input(f"i{j}") for j in range(inputs)]
+    free += [nb.const(f"k{j}", rng.randint(0, 1)) for j in range(constants)]
+    for gi in range(rng.randint(1, max_gates)):
+        kind = rng.choice(kinds)
+        width = ARITY[kind]
+        if len(free) < width:
+            break
+        ins = [free.pop(rng.randrange(len(free))) for _ in range(width)]
+        free.extend(nb.gate(kind, ins, [f"g{gi}_{p}" for p in range(width)]))
+    if named == "all":
+        chosen = free
+    elif named == "none":
+        chosen = []
+    else:
+        chosen = [lid for lid in free if rng.random() < 0.5]
+    return nb.finish([(f"O{j}", lid) for j, lid in enumerate(chosen)])
+
+
+def _exhaustive_masks(net: Netlist):
+    n = len(net.inputs)
+    total = 1 << n
+    values = evaluate_lines(net, variable_masks(n), (1 << total) - 1)
+    out_masks = [values[lid] for _, lid in net.outputs]
+    garb_masks = [values[lid] for lid in net.garbage]
+    return n, total, out_masks, garb_masks
+
+
+def reference_truth_table(net: Netlist):
+    """Per-vector oracle for :func:`revadd.truth_table`: reads bit v out of
+    every packed mask with a shift, one vector at a time (quadratic)."""
+    n, total, out_masks, garb_masks = _exhaustive_masks(net)
+    rows = []
+    for v in range(total):
+        ins = tuple((v >> i) & 1 for i in range(n))
+        outs = tuple((m >> v) & 1 for m in out_masks)
+        garb = tuple((m >> v) & 1 for m in garb_masks)
+        rows.append((ins, outs, garb))
+    return rows
+
+
+def reference_is_reversible(net: Netlist) -> bool:
+    """Per-vector oracle for :func:`revadd.is_reversible_circuit`: packs each
+    vector's boundary image into an int and stops at the first repeat."""
+    _, total, out_masks, garb_masks = _exhaustive_masks(net)
+    masks = out_masks + garb_masks
+    seen = set()
+    for v in range(total):
+        image = 0
+        for i, m in enumerate(masks):
+            image |= ((m >> v) & 1) << i
+        if image in seen:
+            return False
+        seen.add(image)
+    return True

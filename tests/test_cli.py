@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from helpers import pg_full_adder
 from revadd import parse_netlist, serialize
 from revadd.cli import main
@@ -139,6 +141,31 @@ def test_unknown_design_or_file(capsys):
     code, _, err = run(capsys, "metrics", "nonesuch")
     assert code == 2
     assert "neither a known design" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "hsa16", "--samples", "0"),
+    ("verify", "hsa16", "--samples", "-3"),
+    ("faults", "csa4", "--samples", "0", "--seed", "1"),
+])
+def test_sample_counts_below_one_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "sample count must be at least 1" in err
+
+
+def test_directory_operand_is_a_usage_error(tmp_path, capsys):
+    code, _, err = run(capsys, "verify", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: cannot read")
+
+
+def test_non_ascii_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin.net"
+    path.write_bytes(b"netlist caf\xc3\xa9\nversion 1\n")
+    code, _, err = run(capsys, "metrics", str(path))
+    assert code == 2
+    assert err.startswith("error:") and "not an ASCII netlist file" in err
 
 
 def test_parse_error_exits_one(tmp_path, capsys):

@@ -46,6 +46,11 @@ def test_unknown_fault_line_rejected():
                             (0, 0, 0))
 
 
+def test_simulate_with_fault_rejects_non_binary_bits():
+    with pytest.raises(ValueError, match="non-binary"):
+        simulate_with_fault(build_full_adder(), FaultSite("a"), (2, 0, 0))
+
+
 def test_stuck_at_matching_value_is_silent():
     fa = build_full_adder()
     clean = simulate(fa, (0, 0, 0))

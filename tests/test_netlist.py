@@ -4,14 +4,17 @@ from random import Random
 
 import pytest
 
-from helpers import check_adder_exhaustive, passthrough, pg_full_adder
+from helpers import (check_adder_exhaustive, passthrough, pg_full_adder,
+                     random_fanout_free, reference_is_reversible,
+                     reference_truth_table)
 from revadd import (GateInstance, GateKind, Netlist, NetlistBuilder,
                     NetlistError, WidthLimitError, build_cla2, build_csa4,
-                    build_full_adder, build_rca, gate_cost,
-                    is_parity_preserving_circuit,
+                    build_design, build_full_adder, build_rca, gate_cost,
+                    gates, is_parity_preserving_circuit,
                     is_parity_preserving_circuit_sampled,
                     is_reversible_circuit, metrics, simulate, truth_table,
                     validate)
+from revadd.netlist import variable_masks
 
 MIG = GateKind.MIG
 F2G = GateKind.F2G
@@ -146,22 +149,8 @@ def test_parity_circuit_checks():
 def test_parity_preserving_composition_property():
     # any circuit stacked from parity-preserving kinds conserves parity
     rng = Random(7)
-    kinds = [GateKind.FRG, GateKind.F2G, GateKind.NFT, GateKind.MIG,
-             GateKind.IG]
     for trial in range(25):
-        nb = NetlistBuilder(f"rand{trial}")
-        free = [nb.input(f"i{j}") for j in range(6)]
-        free += [nb.const(f"k{j}", rng.randint(0, 1)) for j in range(4)]
-        for gi in range(rng.randint(1, 12)):
-            kind = rng.choice(kinds)
-            n = {GateKind.FRG: 3, GateKind.F2G: 3, GateKind.NFT: 3,
-                 GateKind.MIG: 4, GateKind.IG: 4}[kind]
-            if len(free) < n:
-                break
-            ins = [free.pop(rng.randrange(len(free))) for _ in range(n)]
-            outs = nb.gate(kind, ins, [f"t{trial}_{gi}_{p}" for p in range(n)])
-            free.extend(outs)
-        net = nb.finish([])
+        net = random_fanout_free(rng, f"rand{trial}", 6, 4, 12, "none")
         assert is_parity_preserving_circuit(net), f"trial {trial}"
 
 
@@ -182,6 +171,65 @@ def test_reversibility_checks():
                    [GateInstance(GateKind.FG, ("a", "b"), ("x", "y"))],
                    [("O", "y")], ["x"])
     assert is_reversible_circuit(fold)
+
+
+def test_sampled_parity_check_refuses_sample_counts_below_one():
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="sample count must be positive"):
+            is_parity_preserving_circuit_sampled(pg_full_adder(), samples, 0)
+
+
+def test_variable_masks_enumerate_every_vector():
+    for n in range(11):
+        want = [sum(((v >> i) & 1) << v for v in range(1 << n))
+                for i in range(n)]
+        assert variable_masks(n) == want, n
+
+
+def _assert_matches_reference(net):
+    assert truth_table(net) == reference_truth_table(net), net.name
+    assert is_reversible_circuit(net) == reference_is_reversible(net), net.name
+
+
+@pytest.mark.parametrize("name", ["fa", "cla2", "csa4", "rca:2", "rca:3",
+                                  "rca:4", "rca:5", "rca:6"])
+def test_exhaustive_analysis_matches_reference_on_designs(name):
+    # hsa16 has 33 primary inputs, beyond exhaustive reach for either side
+    _assert_matches_reference(build_design(name))
+
+
+def test_exhaustive_analysis_matches_reference_on_random_netlists():
+    rng = Random(2)
+    policies = ("all", "none", "some")
+    for trial in range(51):
+        named = policies[trial % 3]
+        net = random_fanout_free(rng, f"rand{trial}", rng.randint(1, 8),
+                                 rng.randint(0, 4), 10, named)
+        if named == "all":
+            assert net.garbage == []
+        if named == "none":
+            assert net.outputs == []
+        _assert_matches_reference(net)
+
+
+def test_exhaustive_analysis_edge_boundaries():
+    # empty column lists still give one row per input vector
+    for net in (passthrough(3), passthrough(0), Netlist("constonly", [],
+                [("k", 1)], [], [], ["k"])):
+        _assert_matches_reference(net)
+        assert len(truth_table(net)) == 1 << len(net.inputs)
+    assert truth_table(passthrough(0)) == [((), (), ())]
+
+
+def test_reversibility_check_can_fail(monkeypatch):
+    # every valid netlist over the real gates is a bijection, so only a
+    # non-injective gate map reaches the False verdict
+    fa = build_full_adder()
+    assert is_reversible_circuit(fa)
+    monkeypatch.setitem(gates.EVAL, MIG, lambda v, one: (v[0], v[1], v[2], 0))
+    assert reference_is_reversible(fa) is False
+    assert is_reversible_circuit(fa) is False
+    assert truth_table(fa) == reference_truth_table(fa)
 
 
 def test_metrics_full_adder_and_zero_case():
