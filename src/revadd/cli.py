@@ -20,9 +20,8 @@ import sys
 
 from . import builders
 from .faults import run_campaign
-from .netlist import (Netlist, WidthLimitError, is_parity_preserving_circuit,
-                      is_parity_preserving_circuit_sampled,
-                      is_reversible_circuit, metrics, simulate, validate)
+from .netlist import (Netlist, WidthLimitError, _exhaustive_verdicts,
+                      _sampled_parity, metrics, simulate, validate)
 from .report import emit_table1, gates_str
 from .textfmt import NetlistParseError, parse_netlist, serialize
 
@@ -142,8 +141,11 @@ def _cmd_build(args) -> int:
     net = _load(args.design)
     text = serialize(net)
     if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output!r}: {exc.strerror}")
     else:
         sys.stdout.write(text)
     return 0
@@ -162,31 +164,25 @@ def _cmd_sim(args) -> int:
 def _cmd_verify(args) -> int:
     net = _load(args.design)
     problems = validate(net)
-    ok = not problems
     if problems:
         print(f"validate: {len(problems)} violation(s)")
         for p in problems:
             print(f"  {p}")
         return 1
     print("validate: ok")
+    # one validation and one exhaustive evaluation serve both checks
     try:
-        rev = is_reversible_circuit(net)
-        print(f"reversible: {rev} (exhaustive over 2^{len(net.inputs)} vectors)")
-        ok = ok and rev
+        rev, par = _exhaustive_verdicts(net)
     except WidthLimitError:
         print(f"reversible: skipped ({len(net.inputs)} primary inputs "
               "exceed the exhaustive limit)")
-    try:
-        par = is_parity_preserving_circuit(net)
-        print(f"parity-preserving: {par} (exhaustive)")
-        ok = ok and par
-    except WidthLimitError:
-        par, n = is_parity_preserving_circuit_sampled(net, args.samples,
-                                                      args.seed)
+        par, n = _sampled_parity(net, args.samples, args.seed)
         print(f"parity-preserving: {par} (sampled, {n} vectors, "
               f"seed {args.seed})")
-        ok = ok and par
-    return 0 if ok else 1
+        return 0 if par else 1
+    print(f"reversible: {rev} (exhaustive over 2^{len(net.inputs)} vectors)")
+    print(f"parity-preserving: {par} (exhaustive)")
+    return 0 if rev and par else 1
 
 
 def _cmd_metrics(args) -> int:

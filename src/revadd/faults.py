@@ -11,6 +11,16 @@ its outputs flip; the oddness walks to the boundary and the output-side
 parity no longer matches the input side.  Campaigns measure exactly that,
 and additionally count how often the fault would be visible to an observer
 who can see only the named primary outputs (garbage lines unobservable).
+
+Campaigns simulate many fault sites side by side (parallel fault
+simulation on top of the one-bit-per-vector packing).  With ``nvec``
+vectors per site, each site of a batch owns a slot of ``ceil(nvec/8)``
+bytes of one wide word: site j's vectors sit at bit ``8*ceil(nvec/8)*j``
+upward.  The bits between slots are 0 in the inputs and in the all-ones
+word, and every gate keeps them 0.  The faulted run gives each site's line
+the fault mask of its own slot, so one faulted evaluation covers the whole
+batch.  A batch's word is capped at ``WORD_BITS`` bits, which bounds the
+memory of wide exhaustive campaigns; above the cap a batch holds one site.
 """
 
 from __future__ import annotations
@@ -19,11 +29,12 @@ from dataclasses import dataclass
 from random import Random
 
 from .gates import parity
-from .netlist import (EXHAUSTIVE_LIMIT, Netlist, NetlistError, SimResult,
-                      WidthLimitError, _simulate_vector, evaluate_lines,
-                      validate, variable_masks)
+from .netlist import (EXHAUSTIVE_LIMIT, Netlist, SimResult, WidthLimitError,
+                      _check_valid, _simulate_vector, evaluate_lines,
+                      variable_masks)
 
 FAULT_MODELS = ("flip", "sa0", "sa1")
+WORD_BITS = 1 << 16  # widest word a campaign batch packs its sites into
 
 
 @dataclass(frozen=True)
@@ -83,23 +94,16 @@ class CampaignReport:
 
 def enumerate_fault_sites(net: Netlist, model: str = "flip") -> list[FaultSite]:
     """One site per line (boundary and internal), in source order."""
-    _valid(net)
+    _check_valid(net)
     return [FaultSite(lid, model) for lid in net.all_lines()]
-
-
-def _valid(net: Netlist):
-    problems = validate(net)
-    if problems:
-        raise NetlistError(f"netlist {net.name!r} is not valid: "
-                           + "; ".join(map(str, problems)))
 
 
 def simulate_with_fault(net: Netlist, fault: FaultSite, bits) -> SimResult:
     """Like simulate, with the faulted line transformed in flight."""
-    _valid(net)
+    _check_valid(net)
     if fault.line not in set(net.all_lines()):
         raise KeyError(f"unknown line id {fault.line!r}")
-    return _simulate_vector(net, bits, fault)
+    return _simulate_vector(net, bits, {fault.line: (fault.model, 1)})
 
 
 def parity_detects(net: Netlist, fault_free_inputs, observed) -> bool:
@@ -121,15 +125,33 @@ def _sampled_input_masks(net: Netlist, samples: int, seed: int,
     return [rng.getrandbits(samples) for _ in net.inputs]
 
 
+def _pack(words, nbytes: int) -> int:
+    """Lay ``words`` side by side in slots of ``nbytes`` bytes, the first
+    word lowest.  Each word must fit its slot; a lone word is its own
+    packing."""
+    if len(words) == 1:
+        return words[0]
+    return int.from_bytes(b"".join(w.to_bytes(nbytes, "little")
+                                   for w in words), "little")
+
+
 def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
                  seed: int | None = None,
                  limit: int = EXHAUSTIVE_LIMIT) -> CampaignReport:
     """Inject every fault site over exhaustive or sampled input vectors.
 
     ``samples=None`` enumerates all primary-input vectors (refused above
-    ``limit`` bits).  Sampled mode requires a seed so reports reproduce.
+    ``limit`` bits).  Sampled mode requires a seed so reports reproduce;
+    site i draws its vectors from its own stream keyed by ``(seed, i)``.
+
+    Sites run in batches of ``max(1, WORD_BITS // slot)``, where a slot is
+    ``nvec`` rounded up to whole bytes (layout in the module docstring).
+    Per batch there is one faulted evaluation, plus one fault-free one in
+    sampled mode; in exhaustive mode every site shares the vectors, so the
+    fault-free run is made once over 2^n bits and its inputs and boundary
+    values are replicated across the slots once per batch size.
     """
-    _valid(net)
+    _check_valid(net)
     if model not in FAULT_MODELS:
         raise ValueError(f"unknown fault model {model!r}")
     n = len(net.inputs)
@@ -147,33 +169,50 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
             raise ValueError("sample count must be positive")
         nvec = samples
     one = (1 << nvec) - 1
+    nbytes = (nvec + 7) // 8
+    slot = 8 * nbytes
+    per_batch = max(1, WORD_BITS // slot)
 
-    sites = enumerate_fault_sites(net, model)
+    lines = net.all_lines()
     boundary = [lid for _, lid in net.outputs] + list(net.garbage)
     primary = [lid for _, lid in net.outputs]
 
-    def parity_in(masks) -> int:
+    def parity_in(masks, ones) -> int:
         pin = 0
         for m in masks:
             pin ^= m
         for _, pol in net.constants:
-            pin ^= one if pol else 0
+            pin ^= ones if pol else 0
         return pin
 
-    detected = silent = corrupting = 0
-    prim_seen = prim_missed = 0
     if samples is None:
         shared_masks = variable_masks(n)
         shared_base = evaluate_lines(net, shared_masks, one)
-        shared_pin = parity_in(shared_masks)
-    for idx, site in enumerate(sites):
+        tiled = {}  # batch size -> (masks, ones, base, input parity)
+
+    detected = silent = corrupting = 0
+    prim_seen = prim_missed = 0
+    for start in range(0, len(lines), per_batch):
+        batch = lines[start:start + per_batch]
+        k = len(batch)
         if samples is None:
-            masks, base, pin = shared_masks, shared_base, shared_pin
+            if k not in tiled:
+                masks = [_pack([m] * k, nbytes) for m in shared_masks]
+                ones = _pack([one] * k, nbytes)
+                base = {lid: _pack([shared_base[lid]] * k, nbytes)
+                        for lid in boundary}
+                tiled[k] = masks, ones, base, parity_in(masks, ones)
+            masks, ones, base, pin = tiled[k]
         else:
-            masks = _sampled_input_masks(net, nvec, seed, idx)
-            base = evaluate_lines(net, masks, one)
-            pin = parity_in(masks)
-        faulted = evaluate_lines(net, masks, one, fault=site)
+            streams = [_sampled_input_masks(net, nvec, seed, start + j)
+                       for j in range(k)]
+            masks = [_pack(column, nbytes) for column in zip(*streams)]
+            ones = _pack([one] * k, nbytes)
+            base = evaluate_lines(net, masks, ones)
+            pin = parity_in(masks, ones)
+        fault = {lid: (model, one << (slot * j))
+                 for j, lid in enumerate(batch)}
+        faulted = evaluate_lines(net, masks, ones, fault)
         pout = 0
         diff = 0
         for lid in boundary:
@@ -181,17 +220,17 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
             diff |= faulted[lid] ^ base[lid]
         alarm = pin ^ pout
         detected += alarm.bit_count()
-        quiet = one & ~alarm
+        quiet = ones & ~alarm
         silent += (quiet & ~diff).bit_count()
         corrupting += (quiet & diff).bit_count()
         pdiff = 0
         for lid in primary:
             pdiff |= faulted[lid] ^ base[lid]
         prim_seen += pdiff.bit_count()
-        prim_missed += (one & ~pdiff).bit_count()
+        prim_missed += (ones & ~pdiff).bit_count()
 
     judged = detected + corrupting
     coverage = 1.0 if judged == 0 else detected / judged
-    return CampaignReport(net.name, model, len(sites), nvec, detected,
+    return CampaignReport(net.name, model, len(lines), nvec, detected,
                           silent, corrupting, coverage,
                           prim_seen, prim_missed, seed=seed)

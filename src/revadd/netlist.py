@@ -251,35 +251,38 @@ def evaluate_lines(net: Netlist, input_masks, one: int, fault=None) -> dict:
     """Word-parallel evaluation: map every line id to its value mask.
 
     ``input_masks`` aligns with ``net.inputs``; ``one`` is the all-ones mask
-    (1 for scalar runs).  ``fault``, when given, is a
-    :class:`revadd.faults.FaultSite`; the transform applies right after the
-    faulted line's source produces its value, before any sink reads it.
+    (1 for scalar runs).  ``fault``, when given, maps faulted line ids to
+    ``(model, mask)``: right after the line's source produces its value
+    ``v``, before any sink reads it, a flip makes it ``v ^ mask``, a
+    stuck-at-0 ``v & ~mask`` and a stuck-at-1 ``v | mask``.  With
+    ``mask == one`` that is a single fault on every vector of the word; a
+    fault campaign instead gives each faulted line the bits of its own slot
+    of a wide word (see :func:`revadd.faults.run_campaign`).
     """
-    fault_line = fault.line if fault is not None else None
-    values: dict[str, int] = {}
-
-    def place(lid: str, val: int):
-        if lid == fault_line:
-            if fault.model == "flip":
-                val ^= one
-            elif fault.model == "sa0":
-                val = 0
-            elif fault.model == "sa1":
-                val = one
-            else:
-                raise ValueError(f"unknown fault model {fault.model!r}")
-        values[lid] = val
-
-    for lid, mask in zip(net.inputs, input_masks):
-        place(lid, mask)
+    values = dict(zip(net.inputs, input_masks))
     for lid, pol in net.constants:
-        place(lid, one if pol else 0)
+        values[lid] = one if pol else 0
+    if fault:
+        for lid in fault.keys() & values.keys():
+            values[lid] = _apply_fault(values[lid], *fault[lid])
     for g in net.gates:
-        ins = tuple(values[lid] for lid in g.inputs)
-        outs = EVAL[g.kind](ins, one)
-        for lid, val in zip(g.outputs, outs):
-            place(lid, val)
+        outs = EVAL[g.kind](tuple(values[lid] for lid in g.inputs), one)
+        values.update(zip(g.outputs, outs))
+        if fault:
+            for lid in g.outputs:
+                if lid in fault:
+                    values[lid] = _apply_fault(values[lid], *fault[lid])
     return values
+
+
+def _apply_fault(val: int, model: str, mask: int) -> int:
+    if model == "flip":
+        return val ^ mask
+    if model == "sa0":
+        return val & ~mask
+    if model == "sa1":
+        return val | mask
+    raise ValueError(f"unknown fault model {model!r}")
 
 
 def simulate(net: Netlist, bits, check: bool = True) -> SimResult:
@@ -291,8 +294,8 @@ def simulate(net: Netlist, bits, check: bool = True) -> SimResult:
 
 
 def _simulate_vector(net: Netlist, bits, fault=None) -> SimResult:
-    """One-vector run of a netlist already known to be valid; ``fault`` as
-    for :func:`evaluate_lines`."""
+    """One-vector run of a netlist already known to be valid; ``fault`` maps
+    line ids to ``(model, mask)`` as for :func:`evaluate_lines`."""
     bits = tuple(bits)
     if len(bits) != len(net.inputs):
         raise ValueError(f"netlist {net.name!r} has {len(net.inputs)} primary "
@@ -326,13 +329,12 @@ def variable_masks(n: int) -> list[int]:
 
 
 def _evaluate_exhaustive(net: Netlist, limit: int):
-    """Validate ``net``, refuse more than ``limit`` primary inputs, and
-    evaluate every input vector in one word-parallel pass.
+    """Refuse more than ``limit`` primary inputs, then evaluate every input
+    vector of a netlist already known to be valid in one word-parallel pass.
 
     Returns ``(total, input_masks, values)``: the vector count 2^n, the
     enumeration masks and the mask of every line.
     """
-    _check_valid(net)
     n = len(net.inputs)
     if n > limit:
         raise WidthLimitError(
@@ -369,6 +371,7 @@ def truth_table(net: Netlist, limit: int = EXHAUSTIVE_LIMIT):
     One word-parallel evaluation plus one transpose per boundary line:
     linear in the number of vectors times the boundary width.
     """
+    _check_valid(net)
     total, in_masks, values = _evaluate_exhaustive(net, limit)
     out_masks = [values[lid] for _, lid in net.outputs]
     garb_masks = [values[lid] for lid in net.garbage]
@@ -376,8 +379,9 @@ def truth_table(net: Netlist, limit: int = EXHAUSTIVE_LIMIT):
                     _rows(garb_masks, total)))
 
 
-def _boundary_parity_masks(net: Netlist, values: dict, one: int) -> tuple[int, int]:
-    """Per-vector parity of (inputs incl. constants) and (outputs incl. garbage)."""
+def _parity_conserved(net: Netlist, values: dict, one: int) -> bool:
+    """On every vector, the parity of the inputs (constants included)
+    equals the parity of the outputs (garbage included)."""
     pin = 0
     for lid in net.inputs:
         pin ^= values[lid]
@@ -388,14 +392,14 @@ def _boundary_parity_masks(net: Netlist, values: dict, one: int) -> tuple[int, i
         pout ^= values[lid]
     for lid in net.garbage:
         pout ^= values[lid]
-    return pin, pout
+    return pin == pout
 
 
 def is_parity_preserving_circuit(net: Netlist, limit: int = EXHAUSTIVE_LIMIT) -> bool:
     """Exhaustively check boundary parity conservation over all input vectors."""
+    _check_valid(net)
     total, _, values = _evaluate_exhaustive(net, limit)
-    pin, pout = _boundary_parity_masks(net, values, (1 << total) - 1)
-    return pin == pout
+    return _parity_conserved(net, values, (1 << total) - 1)
 
 
 def is_parity_preserving_circuit_sampled(net: Netlist, samples: int,
@@ -406,29 +410,50 @@ def is_parity_preserving_circuit_sampled(net: Netlist, samples: int,
     would pass without having checked anything.
     """
     _check_valid(net)
+    return _sampled_parity(net, samples, seed)
+
+
+def _sampled_parity(net: Netlist, samples: int, seed: int) -> tuple[bool, int]:
+    """:func:`is_parity_preserving_circuit_sampled` for a netlist already
+    known to be valid."""
     if samples < 1:
         raise ValueError(f"sample count must be positive, got {samples}")
     rng = Random(seed)
     one = (1 << samples) - 1
     masks = [rng.getrandbits(samples) for _ in net.inputs]
     values = evaluate_lines(net, masks, one)
-    pin, pout = _boundary_parity_masks(net, values, one)
-    return pin == pout, samples
+    return _parity_conserved(net, values, one), samples
 
 
-def is_reversible_circuit(net: Netlist, limit: int = EXHAUSTIVE_LIMIT) -> bool:
-    """True iff, with constants fixed, the boundary map from primary inputs
-    to (outputs + garbage) is injective.
+def _injective(net: Netlist, total: int, values: dict) -> bool:
+    """The boundary masks of an exhaustive evaluation over ``total`` vectors
+    have ``total`` distinct rows.
 
     Linear in the number of vectors times the boundary width: the boundary
     masks are transposed once and the distinct rows counted.
     """
-    total, _, values = _evaluate_exhaustive(net, limit)
     masks = [values[lid] for _, lid in net.outputs]
     masks += [values[lid] for lid in net.garbage]
     # as bytes, the rows have the same distinct count as the int tuples
     # in a fraction of the memory
     return len(set(map(bytes, _rows(masks, total)))) == total
+
+
+def is_reversible_circuit(net: Netlist, limit: int = EXHAUSTIVE_LIMIT) -> bool:
+    """True iff, with constants fixed, the boundary map from primary inputs
+    to (outputs + garbage) is injective."""
+    _check_valid(net)
+    total, _, values = _evaluate_exhaustive(net, limit)
+    return _injective(net, total, values)
+
+
+def _exhaustive_verdicts(net: Netlist) -> tuple[bool, bool]:
+    """``(is_reversible_circuit(net), is_parity_preserving_circuit(net))``
+    for a netlist already known to be valid, from one exhaustive
+    evaluation."""
+    total, _, values = _evaluate_exhaustive(net, EXHAUSTIVE_LIMIT)
+    return (_injective(net, total, values),
+            _parity_conserved(net, values, (1 << total) - 1))
 
 
 def metrics(net: Netlist) -> MetricsReport:

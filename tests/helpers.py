@@ -1,7 +1,10 @@
 """Shared test utilities: bit packing, oracles, and small fixture netlists."""
 
-from revadd import (ARITY, PARITY_PRESERVING_KINDS, GateInstance, GateKind,
-                    Netlist, NetlistBuilder, truth_table)
+from random import Random
+
+from revadd import (ARITY, PARITY_PRESERVING_KINDS, CampaignReport,
+                    GateInstance, GateKind, Netlist, NetlistBuilder,
+                    truth_table)
 from revadd.netlist import evaluate_lines, variable_masks
 
 
@@ -56,12 +59,13 @@ def pg_full_adder() -> Netlist:
 
 
 def random_fanout_free(rng, name: str, inputs: int, constants: int,
-                       max_gates: int, named: str = "some") -> Netlist:
-    """Random fanout-free netlist grown from ``PARITY_PRESERVING_KINDS`` with
+                       max_gates: int, named: str = "some",
+                       kinds=PARITY_PRESERVING_KINDS) -> Netlist:
+    """Random fanout-free netlist grown from ``kinds`` with
     :class:`NetlistBuilder`.  ``named`` picks which unconsumed lines become
     named outputs: ``"all"`` (no garbage), ``"none"`` (no named outputs) or
     ``"some"`` (a random subset); the rest are garbage."""
-    kinds = sorted(PARITY_PRESERVING_KINDS, key=lambda k: k.value)
+    kinds = sorted(kinds, key=lambda k: k.value)
     nb = NetlistBuilder(name)
     free = [nb.input(f"i{j}") for j in range(inputs)]
     free += [nb.const(f"k{j}", rng.randint(0, 1)) for j in range(constants)]
@@ -117,3 +121,49 @@ def reference_is_reversible(net: Netlist) -> bool:
             return False
         seen.add(image)
     return True
+
+
+def reference_campaign(net: Netlist, model: str = "flip", samples=None,
+                       seed=None) -> dict:
+    """Per-site oracle for :func:`revadd.run_campaign`: one fault-free and
+    one faulted evaluation per site, each site alone in its word, with the
+    site's sampled vectors drawn from ``Random(f"{seed}/{site index}")``.
+    Returns the report as a dict."""
+    n = len(net.inputs)
+    nvec = 1 << n if samples is None else samples
+    one = (1 << nvec) - 1
+    lines = net.all_lines()
+    boundary = [lid for _, lid in net.outputs] + list(net.garbage)
+    primary = [lid for _, lid in net.outputs]
+    detected = silent = corrupting = prim_seen = prim_missed = 0
+    for idx, lid in enumerate(lines):
+        if samples is None:
+            masks = variable_masks(n)
+        else:
+            rng = Random(f"{seed}/{idx}")
+            masks = [rng.getrandbits(nvec) for _ in net.inputs]
+        base = evaluate_lines(net, masks, one)
+        faulted = evaluate_lines(net, masks, one, {lid: (model, one)})
+        pin = 0
+        for m in masks:
+            pin ^= m
+        for _, pol in net.constants:
+            pin ^= one if pol else 0
+        pout = diff = pdiff = 0
+        for b in boundary:
+            pout ^= faulted[b]
+            diff |= faulted[b] ^ base[b]
+        for p in primary:
+            pdiff |= faulted[p] ^ base[p]
+        alarm = pin ^ pout
+        quiet = one & ~alarm
+        detected += alarm.bit_count()
+        silent += (quiet & ~diff).bit_count()
+        corrupting += (quiet & diff).bit_count()
+        prim_seen += pdiff.bit_count()
+        prim_missed += (one & ~pdiff).bit_count()
+    judged = detected + corrupting
+    coverage = 1.0 if judged == 0 else detected / judged
+    return CampaignReport(net.name, model, len(lines), nvec, detected, silent,
+                          corrupting, coverage, prim_seen, prim_missed,
+                          seed=seed).to_dict()

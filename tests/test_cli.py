@@ -5,7 +5,7 @@ import json
 import pytest
 
 from helpers import pg_full_adder
-from revadd import parse_netlist, serialize
+from revadd import build_design, netlist, parse_netlist, serialize
 from revadd.cli import main
 
 
@@ -26,6 +26,14 @@ def test_build_to_file(tmp_path, capsys):
     code, out, _ = run(capsys, "build", "fa", "-o", str(target))
     assert code == 0 and out == ""
     assert target.read_text().startswith("netlist fa")
+
+
+@pytest.mark.parametrize("where", ["dir", "dir/missing/fa.net"])
+def test_build_to_unwritable_path_is_a_usage_error(tmp_path, capsys, where):
+    target = tmp_path / where.replace("dir", ".", 1)
+    code, out, err = run(capsys, "build", "fa", "-o", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write")
 
 
 def test_sim_full_adder(capsys):
@@ -70,6 +78,38 @@ def test_verify_wide_design_samples_parity(capsys):
     assert code == 0
     assert "reversible: skipped" in out
     assert "sampled" in out
+
+
+@pytest.mark.parametrize("design, code, expected", [
+    ("fa", 0, "reversible: True (exhaustive over 2^3 vectors)\n"
+              "parity-preserving: True (exhaustive)\n"),
+    ("pgfa", 1, "reversible: True (exhaustive over 2^3 vectors)\n"
+                "parity-preserving: False (exhaustive)\n"),
+    ("hsa16", 0, "reversible: skipped (33 primary inputs exceed the "
+                 "exhaustive limit)\n"
+                 "parity-preserving: True (sampled, 4096 vectors, seed 0)\n"),
+])
+def test_verify_validates_and_evaluates_once(capsys, monkeypatch, design,
+                                             code, expected):
+    net = pg_full_adder() if design == "pgfa" else build_design(design)
+    monkeypatch.setattr("revadd.cli._load", lambda target: net)
+    calls = []
+    validate, evaluate_lines = netlist.validate, netlist.evaluate_lines
+
+    def counted_validate(net):
+        calls.append("validate")
+        return validate(net)
+
+    def counted_evaluate(*args):
+        calls.append("evaluate")
+        return evaluate_lines(*args)
+
+    monkeypatch.setattr("revadd.cli.validate", counted_validate)
+    monkeypatch.setattr(netlist, "validate", counted_validate)
+    monkeypatch.setattr(netlist, "evaluate_lines", counted_evaluate)
+    assert run(capsys, "verify", design) == (
+        code, "validate: ok\n" + expected, "")
+    assert calls == ["validate", "evaluate"]
 
 
 def test_verify_reports_violations(tmp_path, capsys):

@@ -1,12 +1,21 @@
 """Fault sites, injected simulation, parity detection, campaigns."""
 
+from random import Random
+
 import pytest
 
-from helpers import passthrough, pg_full_adder
-from revadd import (FaultSite, WidthLimitError, build_cla2, build_csa4,
-                    build_full_adder, build_hsa16, enumerate_fault_sites,
-                    parity, parity_detects, run_campaign, simulate,
+from helpers import (passthrough, pg_full_adder, random_fanout_free,
+                     reference_campaign)
+from revadd import (FaultSite, GateKind, WidthLimitError, build_cla2,
+                    build_csa4, build_design, build_full_adder, build_hsa16,
+                    enumerate_fault_sites, faults, netlist, parity,
+                    parity_detects, run_campaign, simulate,
                     simulate_with_fault, truth_table)
+from revadd.faults import FAULT_MODELS, WORD_BITS
+
+# exhaustive, one vector, and sample counts that are and are not whole bytes
+SAMPLE_COUNTS = (None, 1, 7, 64, 100)
+NON_PARITY_KINDS = (GateKind.FG, GateKind.TG, GateKind.PG)
 
 
 def test_site_enumeration_counts():
@@ -178,3 +187,104 @@ def test_report_dict_keys():
                        "undetected_and_corrupting", "coverage",
                        "primary_only_detected", "primary_only_missed"]
     assert d["circuit"] == "fa" and d["coverage"] == 1.0
+
+
+def _check_against_reference(net, sample_counts=SAMPLE_COUNTS, seed=5):
+    for model in FAULT_MODELS:
+        for samples in sample_counts:
+            seeded = None if samples is None else seed
+            got = run_campaign(net, model, samples=samples, seed=seeded)
+            assert got.to_dict() == reference_campaign(
+                net, model, samples, seeded), (net.name, model, samples)
+
+
+@pytest.mark.parametrize("design", ["fa", "cla2", "csa4", "rca:2", "rca:3",
+                                    "rca:4"])
+def test_campaign_matches_per_site_reference_on_designs(design):
+    _check_against_reference(build_design(design))
+
+
+def test_campaign_matches_per_site_reference_on_hsa16_sampled():
+    _check_against_reference(build_hsa16(), (1, 7, 64))
+
+
+def test_campaign_matches_per_site_reference_on_random_netlists():
+    rng = Random(2030)
+    for i in range(30):
+        net = random_fanout_free(rng, f"rnd{i}", rng.randint(1, 6),
+                                 rng.randint(0, 3), 8,
+                                 ("some", "all", "none")[i % 3])
+        _check_against_reference(net)
+
+
+def test_campaign_matches_per_site_reference_on_edge_netlists():
+    rng = Random(7)
+    no_inputs = random_fanout_free(rng, "noinputs", 0, 4, 3)
+    assert not no_inputs.inputs and no_inputs.gates
+    no_outputs = random_fanout_free(rng, "nooutputs", 3, 1, 4, "none")
+    assert not no_outputs.outputs
+    for net in (passthrough(3), passthrough(0, "empty"), no_inputs,
+                no_outputs):
+        _check_against_reference(net)
+
+
+def test_campaign_matches_per_site_reference_on_non_parity_kinds():
+    # reports with escapes in them, so agreement is more than both sides
+    # reporting every fault detected
+    rng = Random(11)
+    nets = [pg_full_adder()] + [
+        random_fanout_free(rng, f"np{i}", 4, 2, 6, kinds=NON_PARITY_KINDS)
+        for i in range(6)]
+    for net in nets:
+        _check_against_reference(net)
+    sa0 = reference_campaign(pg_full_adder(), "sa0")
+    assert sa0["undetected_but_silent"] > 0
+    assert sa0["undetected_and_corrupting"] > 0
+
+
+@pytest.mark.parametrize("design, samples", [
+    ("csa4", 2 ** 16 // 3 + 1),   # two sites per word
+    ("csa4", 2 ** 16 // 5),       # four per word, 74 sites: a short batch
+    ("hsa16", 1000),              # 65 per word, 293 sites: a short batch
+    ("rca:6", None),              # 2^13 vectors: 8 per word, 73 sites
+    ("rca:8", None),              # 2^17 vectors: over the cap, one per word
+], ids=["csa4-third", "csa4-fifth", "hsa16-1000", "rca6", "rca8"])
+def test_campaign_batch_boundaries_match_reference(design, samples):
+    net = build_design(design)
+    seed = None if samples is None else 3
+    got = run_campaign(net, "flip", samples=samples, seed=seed)
+    assert got.to_dict() == reference_campaign(net, "flip", samples, seed)
+
+
+@pytest.mark.parametrize("design, samples", [
+    ("hsa16", 64), ("hsa16", 4096), ("csa4", 2 ** 16 // 5), ("fa", None),
+    ("rca:6", None), ("rca:8", None)])
+def test_campaign_packs_sites_into_capped_words(monkeypatch, design,
+                                                samples):
+    net = build_design(design)
+    nvec = (1 << len(net.inputs)) if samples is None else samples
+    slot = 8 * ((nvec + 7) // 8)
+    per_word = max(1, WORD_BITS // slot)
+    words = -(-len(net.all_lines()) // per_word)
+    widths = []
+    evaluate_lines = faults.evaluate_lines
+
+    def counting(net, input_masks, one, fault=None):
+        widths.append(one.bit_length())
+        return evaluate_lines(net, input_masks, one, fault)
+
+    monkeypatch.setattr(faults, "evaluate_lines", counting)
+    run_campaign(net, "flip", samples=samples, seed=1)
+    fault_free = 1 if samples is None else words
+    assert len(widths) == fault_free + words
+    assert max(widths) <= max(WORD_BITS, nvec)
+
+
+def test_campaign_validates_once(monkeypatch):
+    net = build_full_adder()
+    calls = []
+    validate = netlist.validate
+    monkeypatch.setattr(netlist, "validate",
+                        lambda net: calls.append(net) or validate(net))
+    run_campaign(net, "flip")
+    assert calls == [net]
