@@ -135,6 +135,11 @@ def _pack(words, nbytes: int) -> int:
                                    for w in words), "little")
 
 
+def _tile(word: int, k: int, nbytes: int) -> int:
+    """``_pack([word] * k, nbytes)`` by repeating one slot's bytes."""
+    return int.from_bytes(word.to_bytes(nbytes, "little") * k, "little")
+
+
 def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
                  seed: int | None = None,
                  limit: int = EXHAUSTIVE_LIMIT) -> CampaignReport:
@@ -147,9 +152,10 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
     Sites run in batches of ``max(1, WORD_BITS // slot)``, where a slot is
     ``nvec`` rounded up to whole bytes (layout in the module docstring).
     Per batch there is one faulted evaluation, plus one fault-free one in
-    sampled mode; in exhaustive mode every site shares the vectors, so the
-    fault-free run is made once over 2^n bits and its inputs and boundary
-    values are replicated across the slots once per batch size.
+    sampled mode, of which only the boundary words are kept; in exhaustive
+    mode every site shares the vectors, so the fault-free run is made once
+    over 2^n bits and its inputs and boundary values are tiled across the
+    slots (one slot's bytes repeated) once per batch size.
     """
     _check_valid(net)
     if model not in FAULT_MODELS:
@@ -197,9 +203,9 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
         k = len(batch)
         if samples is None:
             if k not in tiled:
-                masks = [_pack([m] * k, nbytes) for m in shared_masks]
-                ones = _pack([one] * k, nbytes)
-                base = {lid: _pack([shared_base[lid]] * k, nbytes)
+                masks = [_tile(m, k, nbytes) for m in shared_masks]
+                ones = _tile(one, k, nbytes)
+                base = {lid: _tile(shared_base[lid], k, nbytes)
                         for lid in boundary}
                 tiled[k] = masks, ones, base, parity_in(masks, ones)
             masks, ones, base, pin = tiled[k]
@@ -207,8 +213,10 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
             streams = [_sampled_input_masks(net, nvec, seed, start + j)
                        for j in range(k)]
             masks = [_pack(column, nbytes) for column in zip(*streams)]
-            ones = _pack([one] * k, nbytes)
-            base = evaluate_lines(net, masks, ones)
+            ones = _tile(one, k, nbytes)
+            values = evaluate_lines(net, masks, ones)
+            base = {lid: values[lid] for lid in boundary}
+            del values  # keep no inner line's word through the faulted run
             pin = parity_in(masks, ones)
         fault = {lid: (model, one << (slot * j))
                  for j, lid in enumerate(batch)}
@@ -228,6 +236,7 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
             pdiff |= faulted[lid] ^ base[lid]
         prim_seen += pdiff.bit_count()
         prim_missed += (ones & ~pdiff).bit_count()
+        del faulted  # nor every line's faulted word through the next batch
 
     judged = detected + corrupting
     coverage = 1.0 if judged == 0 else detected / judged

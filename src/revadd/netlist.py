@@ -15,7 +15,8 @@ special case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from random import Random
 
@@ -39,16 +40,30 @@ class GateInstance:
     outputs: tuple[str, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Netlist:
-    """Treated as immutable once built; construct via :class:`NetlistBuilder`."""
+    """An immutable netlist; construct via :class:`NetlistBuilder`.
+
+    The sequence fields are stored as tuples, whatever sequences they were
+    given as.  The structural violations of an instance are worked out once,
+    on the first :func:`validate`, and kept on it outside the dataclass
+    fields, so equality, ``repr`` and ``dataclasses.replace`` ignore them.
+    """
 
     name: str
-    inputs: list[str] = field(default_factory=list)
-    constants: list[tuple[str, int]] = field(default_factory=list)
-    gates: list[GateInstance] = field(default_factory=list)
-    outputs: list[tuple[str, str]] = field(default_factory=list)  # (name, line)
-    garbage: list[str] = field(default_factory=list)
+    inputs: tuple[str, ...] = ()
+    constants: tuple[tuple[str, int], ...] = ()
+    gates: tuple[GateInstance, ...] = ()
+    outputs: tuple[tuple[str, str], ...] = ()  # (name, line)
+    garbage: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        for f in ("inputs", "constants", "gates", "outputs", "garbage"):
+            object.__setattr__(self, f, tuple(getattr(self, f)))
+
+    @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        return _find_violations(self)
 
     def all_lines(self) -> list[str]:
         """Every line id in deterministic source order."""
@@ -163,8 +178,8 @@ class NetlistBuilder:
             out_lines.add(lid)
         garbage = [lid for lid in self._defined
                    if lid not in self._consumed and lid not in out_lines]
-        net = Netlist(self.name, list(self._inputs), list(self._constants),
-                      list(self._gates), list(outputs), garbage)
+        net = Netlist(self.name, self._inputs, self._constants, self._gates,
+                      outputs, garbage)
         problems = validate(net)
         if problems:  # builder guards should make this unreachable
             raise NetlistError("; ".join(map(str, problems)))
@@ -172,25 +187,53 @@ class NetlistBuilder:
 
 
 def validate(net: Netlist) -> list[Violation]:
-    """Structural check; an empty list means the netlist is well formed."""
-    v: list[Violation] = []
-    defined: set[str] = set()
+    """Structural check; an empty list means the netlist is well formed.
 
-    def define(lid: str, what: str):
-        if lid in defined:
-            v.append(Violation("role", f"line {lid!r} defined more than once "
-                               f"(redefined as {what})", (lid,)))
-        defined.add(lid)
+    The violations are found once per netlist, by one pass over its lines
+    that formats only what it reports (:func:`_find_violations`), and kept
+    on the instance; each call returns a fresh list of them.
+    """
+    return list(net._violations)
+
+
+_GARBAGE = None  # sink reference of a garbage declaration
+
+
+def _find_violations(net: Netlist) -> tuple[Violation, ...]:
+    """The violations of ``net``, in the order :func:`validate` reports them.
+
+    A line's sinks are kept as cheap references (a gate index, an output
+    name or ``_GARBAGE``): the first in ``first``, any further ones in
+    ``extra``.  Descriptions are formatted only for violations.
+    """
+    v: list[Violation] = []
+    defined: dict[str, None] = {}  # definition order
+
+    def redefined(lid: str, what: str) -> Violation:
+        return Violation("role", f"line {lid!r} defined more than once "
+                         f"(redefined as {what})", (lid,))
 
     for lid in net.inputs:
-        define(lid, "input")
+        if lid in defined:
+            v.append(redefined(lid, "input"))
+        defined[lid] = None
     for lid, val in net.constants:
-        define(lid, "constant")
+        if lid in defined:
+            v.append(redefined(lid, "constant"))
+        defined[lid] = None
         if val not in (0, 1):
             v.append(Violation("role", f"constant {lid!r} has polarity {val!r}",
                                (lid,)))
 
-    sinks: dict[str, list[str]] = {}
+    first: dict[str, object] = {}
+    extra: dict[str, list] = {}
+
+    def sink(lid: str, ref):
+        if lid in first:
+            extra.setdefault(lid, []).append(ref)
+        else:
+            first[lid] = ref
+
     for idx, g in enumerate(net.gates):
         n = ARITY[g.kind]
         if len(g.inputs) != n or len(g.outputs) != n:
@@ -203,41 +246,63 @@ def validate(net: Netlist) -> list[Violation]:
                 v.append(Violation(
                     "order", f"gate {idx} ({g.kind.value}) reads {lid!r} "
                     "before any earlier source defines it", (lid,)))
-            sinks.setdefault(lid, []).append(f"gate {idx} ({g.kind.value})")
+            if lid in first:  # sink(lid, idx), inlined in the hot loop
+                extra.setdefault(lid, []).append(idx)
+            else:
+                first[lid] = idx
         for lid in g.outputs:
-            define(lid, f"gate {idx} output")
+            if lid in defined:
+                v.append(redefined(lid, f"gate {idx} output"))
+            defined[lid] = None
 
     for name, lid in net.outputs:
         if lid not in defined:
             v.append(Violation("dangling", f"output {name}={lid!r} references "
                                "an undefined line", (lid,)))
-        sinks.setdefault(lid, []).append(f"output {name}")
+        sink(lid, name)
     for lid in net.garbage:
         if lid not in defined:
             v.append(Violation("dangling", f"garbage {lid!r} references an "
                                "undefined line", (lid,)))
-        sinks.setdefault(lid, []).append("garbage")
+        sink(lid, _GARBAGE)
 
-    for lid, where in sinks.items():
-        if len(where) > 1:
-            v.append(Violation("fanout", f"line {lid!r} feeds {len(where)} "
-                               f"sinks: {', '.join(where)}", (lid,)))
-    for lid in defined:
-        if lid not in sinks:
-            v.append(Violation("dangling", f"line {lid!r} has no sink; it must "
-                               "be consumed, a primary output, or garbage",
-                               (lid,)))
+    if extra:
+        def describe(ref) -> str:
+            if ref is _GARBAGE:
+                return "garbage"
+            if isinstance(ref, int):
+                return f"gate {ref} ({net.gates[ref].kind.value})"
+            return f"output {ref}"
+
+        for lid in first:
+            if lid in extra:
+                where = [first[lid], *extra[lid]]
+                v.append(Violation(
+                    "fanout", f"line {lid!r} feeds {len(where)} sinks: "
+                    f"{', '.join(map(describe, where))}", (lid,)))
+    if not defined.keys() <= first.keys():
+        for lid in defined:
+            if lid not in first:
+                v.append(Violation(
+                    "dangling", f"line {lid!r} has no sink; it must be "
+                    "consumed, a primary output, or garbage", (lid,)))
 
     out_set = {lid for _, lid in net.outputs}
     if out_set & set(net.garbage):
         both = sorted(out_set & set(net.garbage))
         v.append(Violation("role", f"lines declared both output and garbage: "
                            f"{', '.join(both)}", tuple(both)))
+    names: set[str] = set()
+    for name, lid in net.outputs:
+        if name in names:
+            v.append(Violation("role", f"output name {name!r} declared more "
+                               f"than once (again for line {lid!r})", (lid,)))
+        names.add(name)
     if net.boundary_in_width() != net.boundary_out_width():
         v.append(Violation(
             "width", f"boundary width mismatch: {net.boundary_in_width()} "
             f"inputs+constants vs {net.boundary_out_width()} outputs+garbage"))
-    return v
+    return tuple(v)
 
 
 def _check_valid(net: Netlist):

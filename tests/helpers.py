@@ -4,7 +4,7 @@ from random import Random
 
 from revadd import (ARITY, PARITY_PRESERVING_KINDS, CampaignReport,
                     GateInstance, GateKind, Netlist, NetlistBuilder,
-                    truth_table)
+                    Violation, truth_table)
 from revadd.netlist import evaluate_lines, variable_masks
 
 
@@ -83,6 +83,77 @@ def random_fanout_free(rng, name: str, inputs: int, constants: int,
     else:
         chosen = [lid for lid in free if rng.random() < 0.5]
     return nb.finish([(f"O{j}", lid) for j, lid in enumerate(chosen)])
+
+
+def reference_validate(net: Netlist) -> list[Violation]:
+    """Set-based oracle for :func:`revadd.validate`: a string description
+    per sink, and "has no sink" violations in ``set`` order (which follows
+    the hash seed).  It knows no duplicate-output-name check."""
+    v: list[Violation] = []
+    defined: set[str] = set()
+
+    def define(lid: str, what: str):
+        if lid in defined:
+            v.append(Violation("role", f"line {lid!r} defined more than once "
+                               f"(redefined as {what})", (lid,)))
+        defined.add(lid)
+
+    for lid in net.inputs:
+        define(lid, "input")
+    for lid, val in net.constants:
+        define(lid, "constant")
+        if val not in (0, 1):
+            v.append(Violation("role", f"constant {lid!r} has polarity {val!r}",
+                               (lid,)))
+
+    sinks: dict[str, list[str]] = {}
+    for idx, g in enumerate(net.gates):
+        n = ARITY[g.kind]
+        if len(g.inputs) != n or len(g.outputs) != n:
+            v.append(Violation(
+                "width", f"gate {idx} ({g.kind.value}) has {len(g.inputs)} "
+                f"inputs/{len(g.outputs)} outputs, arity is {n}",
+                g.inputs + g.outputs))
+        for lid in g.inputs:
+            if lid not in defined:
+                v.append(Violation(
+                    "order", f"gate {idx} ({g.kind.value}) reads {lid!r} "
+                    "before any earlier source defines it", (lid,)))
+            sinks.setdefault(lid, []).append(f"gate {idx} ({g.kind.value})")
+        for lid in g.outputs:
+            define(lid, f"gate {idx} output")
+
+    for name, lid in net.outputs:
+        if lid not in defined:
+            v.append(Violation("dangling", f"output {name}={lid!r} references "
+                               "an undefined line", (lid,)))
+        sinks.setdefault(lid, []).append(f"output {name}")
+    for lid in net.garbage:
+        if lid not in defined:
+            v.append(Violation("dangling", f"garbage {lid!r} references an "
+                               "undefined line", (lid,)))
+        sinks.setdefault(lid, []).append("garbage")
+
+    for lid, where in sinks.items():
+        if len(where) > 1:
+            v.append(Violation("fanout", f"line {lid!r} feeds {len(where)} "
+                               f"sinks: {', '.join(where)}", (lid,)))
+    for lid in defined:
+        if lid not in sinks:
+            v.append(Violation("dangling", f"line {lid!r} has no sink; it must "
+                               "be consumed, a primary output, or garbage",
+                               (lid,)))
+
+    out_set = {lid for _, lid in net.outputs}
+    if out_set & set(net.garbage):
+        both = sorted(out_set & set(net.garbage))
+        v.append(Violation("role", f"lines declared both output and garbage: "
+                           f"{', '.join(both)}", tuple(both)))
+    if net.boundary_in_width() != net.boundary_out_width():
+        v.append(Violation(
+            "width", f"boundary width mismatch: {net.boundary_in_width()} "
+            f"inputs+constants vs {net.boundary_out_width()} outputs+garbage"))
+    return v
 
 
 def _exhaustive_masks(net: Netlist):

@@ -1,19 +1,24 @@
 """Netlist structure, validation categories, simulation, tables, metrics."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+from collections import Counter
 from random import Random
 
 import pytest
 
 from helpers import (check_adder_exhaustive, passthrough, pg_full_adder,
                      random_fanout_free, reference_is_reversible,
-                     reference_truth_table)
+                     reference_truth_table, reference_validate)
 from revadd import (GateInstance, GateKind, Netlist, NetlistBuilder,
                     NetlistError, WidthLimitError, build_cla2, build_csa4,
                     build_design, build_full_adder, build_rca, gate_cost,
                     gates, is_parity_preserving_circuit,
                     is_parity_preserving_circuit_sampled,
-                    is_reversible_circuit, metrics, simulate, truth_table,
-                    validate)
+                    is_reversible_circuit, metrics, netlist, run_campaign,
+                    simulate, truth_table, validate)
 from revadd.netlist import variable_masks
 
 MIG = GateKind.MIG
@@ -96,6 +101,175 @@ def test_dangling_and_role_violations():
 
     net = Netlist("ghost", ["a"], [], [], [("O", "a")], ["nothere"])
     assert "dangling" in categories(net)
+
+
+def _invalid_netlists():
+    """The invalid netlists of the category tests above; ``dang`` has three
+    lines without a sink, so their order shows."""
+    fan_gates = [
+        GateInstance(F2G, ("a", "k0", "k1"), ("x", "y", "z")),
+        GateInstance(F2G, ("x", "x", "y"), ("u", "v", "w")),
+    ]
+    ooo_gates = [
+        GateInstance(F2G, ("later", "k0", "k1"), ("x", "y", "z")),
+        GateInstance(F2G, ("a", "k2", "k3"), ("later", "p", "q")),
+    ]
+    return [
+        Netlist("fan", ["a"], [("k0", 0), ("k1", 0)], fan_gates,
+                [("O", "u")], ["z", "v", "w"]),
+        Netlist("fan2", ["a"], [("k0", 0), ("k1", 0)], fan_gates[:1],
+                [("O", "a")], ["x", "y", "z"]),
+        Netlist("skew", ["a", "b", "c"], [], [], [("O0", "a"), ("O1", "b")],
+                []),
+        Netlist("arity", ["a", "b"], [("k0", 0)],
+                [GateInstance(MIG, ("a", "b", "k0"), ("w", "x", "y", "z"))],
+                [("O", "w")], ["x", "y", "z"]),
+        Netlist("ooo", ["a"], [("k0", 0), ("k1", 0), ("k2", 0), ("k3", 0)],
+                ooo_gates, [("O", "x")], ["y", "z", "p", "q"]),
+        Netlist("dang", ["a", "b", "c", "d"], [], [], [("O", "a")], []),
+        Netlist("both", ["a"], [], [], [("O", "a")], ["a"]),
+        Netlist("dup", ["a", "a"], [], [], [("O0", "a"), ("O1", "a")], []),
+        Netlist("ghost", ["a"], [], [], [("O", "a")], ["nothere"]),
+    ]
+
+
+def _mutant(rng, net, how):
+    """``net`` with one seeded structural fault of kind ``how``, or None
+    when ``net`` has nothing to apply it to."""
+    gates_ = list(net.gates)
+    if how == "fanout":  # a gate also reads a line that already has a sink
+        i = rng.randrange(len(gates_))
+        earlier = list(net.inputs) + [lid for lid, _ in net.constants]
+        earlier += [lid for g in gates_[:i] for lid in g.outputs]
+        g = gates_[i]
+        j = rng.randrange(len(g.inputs))
+        choices = [lid for lid in earlier if lid != g.inputs[j]]
+        ins = list(g.inputs)
+        ins[j] = rng.choice(choices)
+        gates_[i] = dataclasses.replace(g, inputs=tuple(ins))
+        return dataclasses.replace(net, gates=gates_)
+    if how == "drop-garbage":
+        if not net.garbage:
+            return None
+        garbage = list(net.garbage)
+        del garbage[rng.randrange(len(garbage))]
+        return dataclasses.replace(net, garbage=garbage)
+    if how == "swap":  # a gate moved ahead of a gate it reads from
+        pairs = [(i, j) for j, gj in enumerate(gates_)
+                 for i, gi in enumerate(gates_[:j])
+                 if set(gi.outputs) & set(gj.inputs)]
+        if not pairs:
+            return None
+        i, j = rng.choice(pairs)
+        gates_[i], gates_[j] = gates_[j], gates_[i]
+        return dataclasses.replace(net, gates=gates_)
+    if how == "polarity":
+        if not net.constants:
+            return None
+        constants = list(net.constants)
+        k = rng.randrange(len(constants))
+        constants[k] = (constants[k][0], 2)
+        return dataclasses.replace(net, constants=constants)
+    assert how == "duplicate-id"  # a gate output takes an input's id
+    i = rng.randrange(len(gates_))
+    g = gates_[i]
+    outs = list(g.outputs)
+    outs[rng.randrange(len(outs))] = rng.choice(net.inputs)
+    gates_[i] = dataclasses.replace(g, outputs=tuple(outs))
+    return dataclasses.replace(net, gates=gates_)
+
+
+def _seeded_mutants(count):
+    rng = Random(4)
+    kinds = ("fanout", "drop-garbage", "swap", "polarity", "duplicate-id")
+    mutants = []
+    while len(mutants) < count:
+        net = random_fanout_free(rng, f"mut{len(mutants)}", rng.randint(2, 6),
+                                 rng.randint(1, 4), 10, ("some", "none")[
+                                     len(mutants) % 2])
+        if net.gates:
+            bad = _mutant(rng, net, kinds[len(mutants) % len(kinds)])
+            if bad is not None:
+                mutants.append(bad)
+    return mutants
+
+
+def _without_no_sink(found):
+    return [v for v in found if "has no sink" not in v.message]
+
+
+@pytest.mark.parametrize("net", _invalid_netlists() + _seeded_mutants(50),
+                         ids=lambda net: net.name)
+def test_validate_matches_reference(net):
+    want = reference_validate(net)
+    got = validate(net)
+    assert got, "every netlist here is invalid"
+    assert Counter(got) == Counter(want)
+    assert _without_no_sink(got) == _without_no_sink(want)
+
+
+def test_no_sink_violations_in_definition_order_under_any_hash_seed():
+    code = ("from revadd import Netlist, validate\n"
+            "net = Netlist('dang', ['a', 'b', 'c', 'd'], [], [], "
+            "[('O', 'a')], [])\n"
+            "print(','.join(v.lines[0] for v in validate(net)\n"
+            "               if 'has no sink' in v.message))\n")
+    src = os.path.dirname(os.path.dirname(netlist.__file__))
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "b,c,d", f"PYTHONHASHSEED={seed}"
+
+
+def test_duplicate_output_names_are_a_role_violation():
+    net = Netlist("dupname", ["a", "b"], [], [], [("S", "a"), ("S", "b")], [])
+    assert [(v.category, v.lines) for v in validate(net)] == [("role", ("b",))]
+    assert "output name 'S'" in validate(net)[0].message
+    with pytest.raises(NetlistError, match="output name 'S'"):
+        simulate(net, (0, 1))
+
+
+def test_netlist_is_frozen_with_tuple_fields():
+    net = Netlist("lists", ["a"], [("k", 0)],
+                  [GateInstance(GateKind.FG, ("a", "k"), ("x", "y"))],
+                  [("O", "x")], ["y"])
+    for name in ("inputs", "constants", "gates", "outputs", "garbage"):
+        assert type(getattr(net, name)) is tuple, name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.inputs = ("b",)
+    assert validate(net) == []
+    # the kept violations are no field
+    assert net == dataclasses.replace(net)
+    assert list(dataclasses.asdict(net)) == [
+        "name", "inputs", "constants", "gates", "outputs", "garbage"]
+    assert "_violations" not in repr(net)
+
+
+def test_violations_found_once_per_instance(monkeypatch):
+    calls = []
+    finder = netlist._find_violations
+    monkeypatch.setattr(netlist, "_find_violations",
+                        lambda net: calls.append(net.name) or finder(net))
+    fa = build_full_adder()  # finish() validates
+    assert calls == ["fa"]
+    validate(fa)
+    simulate(fa, (1, 0, 1))
+    metrics(fa)
+    run_campaign(fa)
+    run_campaign(fa, samples=8, seed=1)
+    assert calls == ["fa"]
+    validate(dataclasses.replace(fa))
+    assert calls == ["fa", "fa"]
+
+
+def test_mutating_a_returned_list_leaves_the_next_result_unchanged():
+    net = _invalid_netlists()[0]
+    want = validate(net)
+    got = validate(net)
+    got.clear()
+    got.append("poison")
+    assert validate(net) == want and want
 
 
 def test_simulate_full_adder_examples():
@@ -206,9 +380,9 @@ def test_exhaustive_analysis_matches_reference_on_random_netlists():
         net = random_fanout_free(rng, f"rand{trial}", rng.randint(1, 8),
                                  rng.randint(0, 4), 10, named)
         if named == "all":
-            assert net.garbage == []
+            assert net.garbage == ()
         if named == "none":
-            assert net.outputs == []
+            assert net.outputs == ()
         _assert_matches_reference(net)
 
 

@@ -74,6 +74,12 @@ def test_redeclared_id_reports_both_positions():
                for d in diags)
 
 
+def test_duplicate_output_name_keeps_the_positioned_diagnostic():
+    bad = ("netlist t\nversion 1\ninput a b\noutput S=a S=b\n")
+    assert (4, 12, "output name 'S' redeclared (first at 4:8)") in [
+        (d.line, d.col, d.message) for d in diags_of(bad)]
+
+
 def test_arity_mismatch_diagnostic():
     bad = ("netlist t\nversion 1\ninput a b\n"
            "gate F2G x y <- a b\noutput O=x P=y\n")
