@@ -25,7 +25,6 @@ class AdderSpec:
     """Operand geometry of one design."""
 
     width: int
-    has_carry_in: bool = True
     block_size: int | None = None
 
     def __post_init__(self):

@@ -176,8 +176,8 @@ def _cmd_verify(args) -> int:
     except WidthLimitError:
         print(f"reversible: skipped ({len(net.inputs)} primary inputs "
               "exceed the exhaustive limit)")
-        par, n = _sampled_parity(net, args.samples, args.seed)
-        print(f"parity-preserving: {par} (sampled, {n} vectors, "
+        par = _sampled_parity(net, args.samples, args.seed)
+        print(f"parity-preserving: {par} (sampled, {args.samples} vectors, "
               f"seed {args.seed})")
         return 0 if par else 1
     print(f"reversible: {rev} (exhaustive over 2^{len(net.inputs)} vectors)")

@@ -166,23 +166,15 @@ class NetlistBuilder:
 
     def finish(self, outputs: list[tuple[str, str]]) -> Netlist:
         """Close the netlist; unconsumed lines not named as outputs become
-        garbage, in definition order."""
-        out_lines = set()
-        for name, lid in outputs:
-            if lid not in self._defined:
-                raise ValueError(f"output {name}={lid!r} references unknown line")
-            if lid in self._consumed:
-                raise ValueError(f"output {name}={lid!r} is consumed by a gate")
-            if lid in out_lines:
-                raise ValueError(f"line {lid!r} declared as output twice")
-            out_lines.add(lid)
+        garbage, in definition order.  Raises :class:`NetlistError` listing
+        the :func:`validate` violations, e.g. when an output names an unknown
+        or consumed line, or the same line twice."""
+        out_lines = {lid for _, lid in outputs}
         garbage = [lid for lid in self._defined
                    if lid not in self._consumed and lid not in out_lines]
         net = Netlist(self.name, self._inputs, self._constants, self._gates,
                       outputs, garbage)
-        problems = validate(net)
-        if problems:  # builder guards should make this unreachable
-            raise NetlistError("; ".join(map(str, problems)))
+        _check_valid(net)
         return net
 
 
@@ -257,13 +249,13 @@ def _find_violations(net: Netlist) -> tuple[Violation, ...]:
 
     for name, lid in net.outputs:
         if lid not in defined:
-            v.append(Violation("dangling", f"output {name}={lid!r} references "
-                               "an undefined line", (lid,)))
+            v.append(Violation("dangling", f"output {name} references "
+                               f"undefined line {lid!r}", (lid,)))
         sink(lid, name)
     for lid in net.garbage:
         if lid not in defined:
-            v.append(Violation("dangling", f"garbage {lid!r} references an "
-                               "undefined line", (lid,)))
+            v.append(Violation("dangling", "garbage references undefined "
+                               f"line {lid!r}", (lid,)))
         sink(lid, _GARBAGE)
 
     if extra:
@@ -350,11 +342,10 @@ def _apply_fault(val: int, model: str, mask: int) -> int:
     raise ValueError(f"unknown fault model {model!r}")
 
 
-def simulate(net: Netlist, bits, check: bool = True) -> SimResult:
+def simulate(net: Netlist, bits) -> SimResult:
     """Evaluate one primary-input vector; constants take their declared
     polarity and gates run in topological order."""
-    if check:
-        _check_valid(net)
+    _check_valid(net)
     return _simulate_vector(net, bits)
 
 
@@ -468,8 +459,8 @@ def is_parity_preserving_circuit(net: Netlist, limit: int = EXHAUSTIVE_LIMIT) ->
 
 
 def is_parity_preserving_circuit_sampled(net: Netlist, samples: int,
-                                         seed: int) -> tuple[bool, int]:
-    """Monte-Carlo parity check for wide netlists; returns (verdict, samples).
+                                         seed: int) -> bool:
+    """Monte-Carlo parity check for wide netlists over ``samples`` vectors.
 
     Raises ValueError when ``samples`` is below 1: a check over no vectors
     would pass without having checked anything.
@@ -478,7 +469,7 @@ def is_parity_preserving_circuit_sampled(net: Netlist, samples: int,
     return _sampled_parity(net, samples, seed)
 
 
-def _sampled_parity(net: Netlist, samples: int, seed: int) -> tuple[bool, int]:
+def _sampled_parity(net: Netlist, samples: int, seed: int) -> bool:
     """:func:`is_parity_preserving_circuit_sampled` for a netlist already
     known to be valid."""
     if samples < 1:
@@ -487,7 +478,7 @@ def _sampled_parity(net: Netlist, samples: int, seed: int) -> tuple[bool, int]:
     one = (1 << samples) - 1
     masks = [rng.getrandbits(samples) for _ in net.inputs]
     values = evaluate_lines(net, masks, one)
-    return _parity_conserved(net, values, one), samples
+    return _parity_conserved(net, values, one)
 
 
 def _injective(net: Netlist, total: int, values: dict) -> bool:

@@ -11,9 +11,13 @@ Grammar (``#`` starts a comment, tokens are whitespace-separated ASCII):
     garbage <id> ...
 
 Gate statements appear in topological order; every line that no gate
-consumes must appear in exactly one of output/garbage.  The serializer is
-deterministic and byte-stable: declarations first, then instances in
-topological order, with long declaration sections wrapped at a fixed width.
+consumes must appear in exactly one of output/garbage.  The parser checks
+the text itself (headers, tokens, arity, ids, definition before use); a
+document that passes is built, and its structural diagnostics are the
+:func:`revadd.netlist.validate` violations placed at source positions.  The
+serializer is deterministic and byte-stable: declarations first, then
+instances in topological order, with long declaration sections wrapped at a
+fixed width.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import re
 from dataclasses import dataclass
 
 from .gates import ARITY, GateKind
-from .netlist import GateInstance, Netlist, validate
+from .netlist import GateInstance, Netlist, Violation, validate
 
 FORMAT_VERSION = 1
 _WRAP = 8  # ids per declaration line when serializing
@@ -72,6 +76,7 @@ class _Parser:
         self.rows = _tokenize(text)
         self.diags: list[Diagnostic] = []
         self.name: str | None = None
+        self.header: _Token | None = None
         self.version_seen = False
         self.inputs: list[str] = []
         self.constants: list[tuple[str, int]] = []
@@ -81,7 +86,6 @@ class _Parser:
         self.defs: dict[str, _Token] = {}    # line id -> defining token
         self.sinks: dict[str, list[_Token]] = {}
         self.out_names: dict[str, _Token] = {}
-        self.garbage_toks: list[_Token] = []
 
     def err(self, tok: _Token, message: str):
         self.diags.append(Diagnostic(tok.line, tok.col, message))
@@ -113,18 +117,32 @@ class _Parser:
             self.diags.append(Diagnostic(1, 1, "missing 'netlist <name>' header"))
         if not self.version_seen:
             self.diags.append(Diagnostic(1, 1, "missing 'version 1' header"))
-        self._check_structure()
         if self.diags:
             raise NetlistParseError(self.diags)
         net = Netlist(self.name, self.inputs, self.constants, self.gates,
                       self.outputs, self.garbage)
-        leftover = validate(net)
-        if leftover:  # structural analysis above should have caught these
-            raise NetlistParseError(
-                [Diagnostic(1, 1, str(p)) for p in leftover])
+        problems = validate(net)
+        if problems:
+            raise NetlistParseError(map(self._place, problems))
         return net
 
+    def _place(self, v: Violation) -> Diagnostic:
+        """Position a violation at the first sink of its first line, else at
+        that line's definition, else at 1:1."""
+        lid = v.lines[0] if v.lines else None
+        sinks = self.sinks.get(lid, [])
+        tok = sinks[0] if sinks else self.defs.get(lid, _Token("", 1, 1))
+        message = str(v)
+        if len(sinks) > 1:
+            message += f" (at {', '.join(f'{t.line}:{t.col}' for t in sinks)})"
+        return Diagnostic(tok.line, tok.col, message)
+
     def _stmt_netlist(self, toks):
+        if self.header is not None:
+            self.err(toks[0], "netlist header redeclared (first at "
+                              f"{self.header.line}:{self.header.col})")
+            return
+        self.header = toks[0]
         if len(toks) != 2:
             self.err(toks[0], "expected: netlist <name>")
             return
@@ -216,38 +234,13 @@ class _Parser:
             self.err(toks[0], "expected: garbage <id> ...")
         for tok in toks[1:]:
             self.garbage.append(tok.text)
-            self.garbage_toks.append(tok)
             self.consume(tok, tok.text)
-
-    def _check_structure(self):
-        for name, lid in self.outputs:
-            if lid not in self.defs:
-                tok = self.out_names[name]
-                self.err(tok, f"output {name!r} references undefined line {lid!r}")
-        for tok in self.garbage_toks:
-            if tok.text not in self.defs:
-                self.err(tok, f"garbage references undefined line {tok.text!r}")
-        for lid, where in self.sinks.items():
-            if len(where) > 1:
-                positions = ", ".join(f"{t.line}:{t.col}" for t in where)
-                self.err(where[1], f"fanout: line {lid!r} feeds "
-                                   f"{len(where)} sinks (at {positions})")
-        for lid, tok in self.defs.items():
-            if lid not in self.sinks:
-                self.err(tok, f"line {lid!r} has no sink; declare it as "
-                              "output or garbage")
-        width_in = len(self.inputs) + len(self.constants)
-        width_out = len(self.outputs) + len(self.garbage)
-        if not self.diags and width_in != width_out:
-            self.diags.append(Diagnostic(
-                1, 1, f"boundary width mismatch: {width_in} inputs+constants "
-                      f"vs {width_out} outputs+garbage"))
 
 
 def parse_netlist(text: str) -> Netlist:
     """Parse a netlist document; raises :class:`NetlistParseError` carrying
-    positioned diagnostics for every syntactic, semantic or structural
-    problem found."""
+    a positioned diagnostic for every problem in the text or, when the text
+    has none, for every violation :func:`validate` finds."""
     return _Parser(text).parse()
 
 

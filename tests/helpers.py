@@ -125,13 +125,13 @@ def reference_validate(net: Netlist) -> list[Violation]:
 
     for name, lid in net.outputs:
         if lid not in defined:
-            v.append(Violation("dangling", f"output {name}={lid!r} references "
-                               "an undefined line", (lid,)))
+            v.append(Violation("dangling", f"output {name} references "
+                               f"undefined line {lid!r}", (lid,)))
         sinks.setdefault(lid, []).append(f"output {name}")
     for lid in net.garbage:
         if lid not in defined:
-            v.append(Violation("dangling", f"garbage {lid!r} references an "
-                               "undefined line", (lid,)))
+            v.append(Violation("dangling", "garbage references undefined "
+                               f"line {lid!r}", (lid,)))
         sinks.setdefault(lid, []).append("garbage")
 
     for lid, where in sinks.items():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -13,12 +14,12 @@ from helpers import (check_adder_exhaustive, passthrough, pg_full_adder,
                      random_fanout_free, reference_is_reversible,
                      reference_truth_table, reference_validate)
 from revadd import (GateInstance, GateKind, Netlist, NetlistBuilder,
-                    NetlistError, WidthLimitError, build_cla2, build_csa4,
-                    build_design, build_full_adder, build_rca, gate_cost,
-                    gates, is_parity_preserving_circuit,
+                    NetlistError, NetlistParseError, WidthLimitError,
+                    build_cla2, build_csa4, build_design, build_full_adder,
+                    build_rca, gate_cost, gates, is_parity_preserving_circuit,
                     is_parity_preserving_circuit_sampled,
-                    is_reversible_circuit, metrics, netlist, run_campaign,
-                    simulate, truth_table, validate)
+                    is_reversible_circuit, metrics, netlist, parse_netlist,
+                    run_campaign, serialize, simulate, truth_table, validate)
 from revadd.netlist import variable_masks
 
 MIG = GateKind.MIG
@@ -208,6 +209,51 @@ def test_validate_matches_reference(net):
     assert _without_no_sink(got) == _without_no_sink(want)
 
 
+def _random_valid(count):
+    rng = Random(11)
+    return [random_fanout_free(rng, f"ok{i}", rng.randint(1, 6),
+                               rng.randint(0, 4), 10,
+                               ("some", "none", "all")[i % 3])
+            for i in range(count)]
+
+
+def _left_to_validate(v):
+    """A violation that the parser's checks of the text do not catch
+    first: fanout, dangling, both-roles or boundary width."""
+    return (v.category in ("fanout", "dangling")
+            or v.message.startswith(("lines declared both", "boundary width")))
+
+
+@pytest.mark.parametrize(
+    "net", _invalid_netlists() + _seeded_mutants(50) + _random_valid(30),
+    ids=lambda net: net.name)
+def test_parser_and_validate_agree(net):
+    found = validate(net)
+    text = serialize(net)
+    if not found:
+        assert parse_netlist(text) == net
+        return
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist(text)
+    if all(map(_left_to_validate, found)):
+        got = [re.sub(r" \(at [0-9:, ]+\)$", "", d.message)
+               for d in err.value.diagnostics]
+        assert got == [str(v) for v in found]
+
+
+@pytest.mark.parametrize("outputs, named", [
+    ([("O", "ghost")], "undefined line 'ghost'"),
+    ([("O", "a")], "line 'a' feeds 2 sinks"),
+    ([("S", "x"), ("T", "x")], "line 'x' feeds 2 sinks"),
+], ids=["unknown", "consumed", "output-twice"])
+def test_finish_refuses_bad_outputs_naming_the_line(outputs, named):
+    nb = NetlistBuilder("bad")
+    a, b = nb.input("a"), nb.input("b")
+    nb.gate(GateKind.FG, (a, b), ("x", "y"))
+    with pytest.raises(NetlistError, match=named):
+        nb.finish(outputs)
+
+
 def test_no_sink_violations_in_definition_order_under_any_hash_seed():
     code = ("from revadd import Netlist, validate\n"
             "net = Netlist('dang', ['a', 'b', 'c', 'd'], [], [], "
@@ -329,10 +375,9 @@ def test_parity_preserving_composition_property():
 
 
 def test_sampled_parity_check():
-    ok, n = is_parity_preserving_circuit_sampled(build_csa4(), 256, seed=3)
-    assert ok and n == 256
-    bad, _ = is_parity_preserving_circuit_sampled(pg_full_adder(), 256, seed=3)
-    assert not bad
+    assert is_parity_preserving_circuit_sampled(build_csa4(), 256, seed=3)
+    assert not is_parity_preserving_circuit_sampled(pg_full_adder(), 256,
+                                                    seed=3)
 
 
 def test_reversibility_checks():

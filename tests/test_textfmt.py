@@ -162,3 +162,30 @@ def test_use_before_definition_diagnosed():
            "output O=x\ngarbage y z p q\n")
     diags = diags_of(bad)
     assert any("not defined by any earlier" in d.message for d in diags)
+
+
+def test_repeated_netlist_header_diagnosed():
+    bad = "netlist t\nversion 1\nnetlist u\ninput a\noutput O=a\n"
+    assert [(d.line, d.col, d.message) for d in diags_of(bad)] == [
+        (3, 1, "netlist header redeclared (first at 1:1)")]
+
+
+def test_redeclared_output_name_is_the_only_diagnostic():
+    bad = "netlist t\nversion 1\ninput a b\noutput S=a S=b\n"
+    assert [(d.line, d.col, d.message) for d in diags_of(bad)] == [
+        (4, 12, "output name 'S' redeclared (first at 4:8)")]
+
+
+def test_structural_diagnostics_are_placed_violations():
+    fan = "netlist t\nversion 1\ninput a b c\noutput O=a P=b Q=c R=a\n"
+    assert [(d.line, d.col, d.message) for d in diags_of(fan)] == [
+        (4, 8, "[fanout] line 'a' feeds 2 sinks: output O, output R "
+               "(at 4:8, 4:20)"),
+        (1, 1, "[width] boundary width mismatch: 3 inputs+constants vs "
+               "4 outputs+garbage")]
+    dangling = "netlist t\nversion 1\ninput a b\noutput O=a\n"
+    assert [(d.line, d.col, d.message) for d in diags_of(dangling)] == [
+        (3, 9, "[dangling] line 'b' has no sink; it must be consumed, a "
+               "primary output, or garbage"),
+        (1, 1, "[width] boundary width mismatch: 2 inputs+constants vs "
+               "1 outputs+garbage")]
