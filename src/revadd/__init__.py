@@ -11,14 +11,15 @@ from .faults import (CampaignReport, FaultSite, enumerate_fault_sites,
                      parity_detects, run_campaign, simulate_with_fault)
 from .gates import (ARITY, PARITY_PRESERVING_KINDS, ArityError, CostVector,
                     GateKind, eval_gate, gate_cost, gate_truth_table,
-                    is_parity_preserving_gate, is_reversible_gate, parity)
+                    is_parity_preserving_gate, is_reversible_gate,
+                    ledger_cost, parity)
 from .netlist import (GateInstance, MetricsReport, Netlist, NetlistBuilder,
                       NetlistError, SimResult, Violation, WidthLimitError,
                       is_parity_preserving_circuit,
                       is_parity_preserving_circuit_sampled,
                       is_reversible_circuit, metrics, simulate, truth_table,
                       validate)
-from .report import build_table1, emit_table1, ledger_cost
+from .report import build_table1, emit_table1
 from .textfmt import Diagnostic, NetlistParseError, parse_netlist, serialize
 
 __all__ = [

@@ -166,24 +166,11 @@ def _csa_block(nb: NetlistBuilder, a, b, cin: str, tag: str):
     return sums, cout
 
 
-def build_csa4() -> Netlist:
-    """4-bit carry-skip adder: 8 MIG + 4 NFT + 2 F2G, 15 constants,
-    19 garbage; behavior identical to the 4-bit ripple-carry adder."""
-    nb = NetlistBuilder("csa4")
-    a = [nb.input(f"a{i}") for i in range(4)]
-    b = [nb.input(f"b{i}") for i in range(4)]
-    cin = nb.input("cin")
-    sums, cout = _csa_block(nb, a, b, cin, "")
-    outs = [(f"S{i}", s) for i, s in enumerate(sums)]
-    outs.append(("Cout", cout))
-    return nb.finish(outs)
-
-
-def build_hsa16() -> Netlist:
-    """16-bit high-speed adder: four 4-bit carry-skip blocks, each block's
-    carry-out wired directly as the next block's carry-in."""
-    nb = NetlistBuilder("hsa16")
-    spec = AdderSpec(width=16, block_size=4)
+def _carry_skip_adder(name: str, spec: AdderSpec) -> Netlist:
+    """A chain of 4-bit carry-skip blocks, each block's carry-out wired
+    directly as the next block's carry-in.  A lone block's line ids carry no
+    prefix; block i of a longer chain prefixes its ids with ``b{i}_``."""
+    nb = NetlistBuilder(name)
     a = [nb.input(f"a{i}") for i in range(spec.width)]
     b = [nb.input(f"b{i}") for i in range(spec.width)]
     carry = nb.input("cin")
@@ -192,28 +179,46 @@ def build_hsa16() -> Netlist:
     for blk in range(nblocks):
         lo = blk * spec.block_size
         hi = lo + spec.block_size
-        sums, carry = _csa_block(nb, a[lo:hi], b[lo:hi], carry, f"b{blk}_")
+        tag = f"b{blk}_" if nblocks > 1 else ""
+        sums, carry = _csa_block(nb, a[lo:hi], b[lo:hi], carry, tag)
         outs.extend((f"S{lo + i}", s) for i, s in enumerate(sums))
     outs.append(("Cout", carry))
     return nb.finish(outs)
 
 
+def build_csa4() -> Netlist:
+    """4-bit carry-skip adder: 8 MIG + 4 NFT + 2 F2G, 15 constants,
+    19 garbage; behavior identical to the 4-bit ripple-carry adder."""
+    return _carry_skip_adder("csa4", AdderSpec(width=4, block_size=4))
+
+
+def build_hsa16() -> Netlist:
+    """16-bit high-speed adder: four 4-bit carry-skip blocks."""
+    return _carry_skip_adder("hsa16", AdderSpec(width=16, block_size=4))
+
+
+# CLI name -> builder; ``<n>`` stands for the builder's one integer argument
+_DESIGNS = {
+    "fa": build_full_adder,
+    "rca:<n>": build_rca,
+    "cla2": build_cla2,
+    "csa4": build_csa4,
+    "hsa16": build_hsa16,
+}
+
+
 def design_names() -> list[str]:
-    return ["fa", "rca:<n>", "cla2", "csa4", "hsa16"]
+    return list(_DESIGNS)
 
 
 def build_design(name: str) -> Netlist:
     """Build a design by CLI name: fa, rca:<n>, cla2, csa4, hsa16."""
-    if name == "fa":
-        return build_full_adder()
-    if name == "cla2":
-        return build_cla2()
-    if name == "csa4":
-        return build_csa4()
-    if name == "hsa16":
-        return build_hsa16()
-    m = re.fullmatch(r"rca:(\d+)", name)
-    if m:
-        return build_rca(int(m.group(1)))
+    key, colon, arg = name.partition(":")
+    builder = _DESIGNS.get(key + ":<n>" if colon else key)
+    if builder is not None:
+        if not colon:
+            return builder()
+        if re.fullmatch(r"\d+", arg):
+            return builder(int(arg))
     raise KeyError(f"unknown design {name!r} (expected one of: "
                    f"{', '.join(design_names())})")

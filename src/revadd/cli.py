@@ -19,7 +19,7 @@ import re
 import sys
 
 from . import builders
-from .faults import run_campaign
+from .faults import FAULT_MODELS, run_campaign
 from .netlist import (Netlist, WidthLimitError, _exhaustive_verdicts,
                       _sampled_parity, metrics, simulate, validate)
 from .report import emit_table1, gates_str
@@ -35,6 +35,8 @@ def _load(target: str) -> Netlist:
         return builders.build_design(target)
     except KeyError:
         pass
+    except ValueError as exc:  # a known design, a bad parameter: rca:99
+        raise UsageError(str(exc))
     if not os.path.exists(target):
         raise UsageError(f"{target!r} is neither a known design "
                          f"({', '.join(builders.design_names())}) nor a file")
@@ -202,8 +204,11 @@ def _cmd_faults(args) -> int:
     if args.samples is not None and args.seed is None:
         raise UsageError("--samples requires --seed (reports must be "
                          "reproducible)")
-    report = run_campaign(net, model=args.model, samples=args.samples,
-                          seed=args.seed)
+    try:
+        report = run_campaign(net, model=args.model, samples=args.samples,
+                              seed=args.seed)
+    except WidthLimitError as exc:
+        raise UsageError(f"{exc}: --samples N --seed S")
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -220,7 +225,10 @@ def _cmd_table1(args) -> int:
     return 0
 
 
-def make_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Nothing changes the parser once it is built, and building it costs
+    more than a small request, so main builds it once per process."""
     ap = argparse.ArgumentParser(
         prog="revadd",
         description="parity-preserving reversible adder toolkit")
@@ -252,7 +260,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("faults", help="run a fault-injection campaign")
     p.add_argument("design")
-    p.add_argument("--model", choices=("flip", "sa0", "sa1"), default="flip")
+    p.add_argument("--model", choices=FAULT_MODELS, default="flip")
     p.add_argument("--samples", type=_sample_count,
                    help="vectors per fault site (default: exhaustive)")
     p.add_argument("--seed", type=int)
@@ -264,13 +272,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_table1)
     return ap
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """Nothing changes the parser once it is built, and building it costs
-    more than a small request, so main builds it once per process."""
-    return make_parser()
 
 
 def main(argv=None) -> int:

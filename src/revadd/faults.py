@@ -1,9 +1,10 @@
 """Single-signal fault injection and parity-based detection.
 
 A fault site is one line together with a model (flip, stuck-at-0,
-stuck-at-1).  The fault transform applies after the line's source produces
-its value and before any sink consumes it; boundary faults hit primary
-inputs and constants right after assignment.
+stuck-at-1: the keys of ``revadd.netlist.FAULT_TRANSFORMS``).  The fault
+transform applies after the line's source produces its value and before
+any sink consumes it; boundary faults hit primary inputs and constants
+right after assignment.
 
 In a fanout-free circuit built only from parity-preserving gates, a flipped
 signal feeds at most one gate, which conserves parity, so an odd number of
@@ -11,6 +12,9 @@ its outputs flip; the oddness walks to the boundary and the output-side
 parity no longer matches the input side.  Campaigns measure exactly that,
 and additionally count how often the fault would be visible to an observer
 who can see only the named primary outputs (garbage lines unobservable).
+An exhaustive campaign runs every input vector and is refused above
+``revadd.netlist.EXHAUSTIVE_LIMIT`` primary inputs; a sampled campaign
+draws a seeded stream of vectors per site.
 
 Campaigns simulate many fault sites side by side (parallel fault
 simulation on top of the one-bit-per-vector packing).  With ``nvec``
@@ -25,15 +29,15 @@ memory of wide exhaustive campaigns; above the cap a batch holds one site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from random import Random
 
 from .gates import parity
-from .netlist import (EXHAUSTIVE_LIMIT, Netlist, SimResult, WidthLimitError,
-                      _check_valid, _simulate_vector, evaluate_lines,
-                      variable_masks)
+from .netlist import (FAULT_TRANSFORMS, Netlist, SimResult, _check_valid,
+                      _input_parity, _simulate_vector, _vector_count,
+                      evaluate_lines, variable_masks)
 
-FAULT_MODELS = ("flip", "sa0", "sa1")
+FAULT_MODELS = tuple(FAULT_TRANSFORMS)
 WORD_BITS = 1 << 16  # widest word a campaign batch packs its sites into
 
 
@@ -75,20 +79,9 @@ class CampaignReport:
     seed: int | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "circuit": self.circuit,
-            "model": self.model,
-            "sites_total": self.sites_total,
-            "vectors_per_site": self.vectors_per_site,
-            "detected": self.detected,
-            "undetected_but_silent": self.undetected_but_silent,
-            "undetected_and_corrupting": self.undetected_and_corrupting,
-            "coverage": self.coverage,
-            "primary_only_detected": self.primary_only_detected,
-            "primary_only_missed": self.primary_only_missed,
-        }
-        if self.seed is not None:
-            d["seed"] = self.seed
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.seed is None:
+            del d["seed"]
         return d
 
 
@@ -113,8 +106,7 @@ def parity_detects(net: Netlist, fault_free_inputs, observed) -> bool:
     Meaningful as a fault detector only for circuits built from
     parity-preserving kinds, where a fault-free run never alarms.
     """
-    pin = parity(fault_free_inputs) ^ parity(pol for _, pol in net.constants)
-    return pin != parity(observed)
+    return _input_parity(net, fault_free_inputs, 1) != parity(observed)
 
 
 def _sampled_input_masks(net: Netlist, samples: int, seed: int,
@@ -141,13 +133,13 @@ def _tile(word: int, k: int, nbytes: int) -> int:
 
 
 def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
-                 seed: int | None = None,
-                 limit: int = EXHAUSTIVE_LIMIT) -> CampaignReport:
+                 seed: int | None = None) -> CampaignReport:
     """Inject every fault site over exhaustive or sampled input vectors.
 
     ``samples=None`` enumerates all primary-input vectors (refused above
-    ``limit`` bits).  Sampled mode requires a seed so reports reproduce;
-    site i draws its vectors from its own stream keyed by ``(seed, i)``.
+    ``EXHAUSTIVE_LIMIT`` inputs).  Sampled mode requires a seed so reports
+    reproduce; site i draws its vectors from its own stream keyed by
+    ``(seed, i)``.
 
     Sites run in batches of ``max(1, WORD_BITS // slot)``, where a slot is
     ``nvec`` rounded up to whole bytes (layout in the module docstring).
@@ -160,20 +152,10 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
     _check_valid(net)
     if model not in FAULT_MODELS:
         raise ValueError(f"unknown fault model {model!r}")
-    n = len(net.inputs)
-    if samples is None:
-        if n > limit:
-            raise WidthLimitError(
-                f"netlist {net.name!r} has {n} primary inputs; exhaustive "
-                f"campaigns are limited to {limit} (use sampled mode)")
-        nvec = 1 << n
-    else:
-        if seed is None:
-            raise ValueError("sampled campaigns require a seed "
-                             "(reports must be reproducible)")
-        if samples < 1:
-            raise ValueError("sample count must be positive")
-        nvec = samples
+    if samples is not None and seed is None:
+        raise ValueError("sampled campaigns require a seed "
+                         "(reports must be reproducible)")
+    nvec = _vector_count(net, samples)
     one = (1 << nvec) - 1
     nbytes = (nvec + 7) // 8
     slot = 8 * nbytes
@@ -183,16 +165,8 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
     boundary = [lid for _, lid in net.outputs] + list(net.garbage)
     primary = [lid for _, lid in net.outputs]
 
-    def parity_in(masks, ones) -> int:
-        pin = 0
-        for m in masks:
-            pin ^= m
-        for _, pol in net.constants:
-            pin ^= ones if pol else 0
-        return pin
-
     if samples is None:
-        shared_masks = variable_masks(n)
+        shared_masks = variable_masks(len(net.inputs))
         shared_base = evaluate_lines(net, shared_masks, one)
         tiled = {}  # batch size -> (masks, ones, base, input parity)
 
@@ -207,7 +181,7 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
                 ones = _tile(one, k, nbytes)
                 base = {lid: _tile(shared_base[lid], k, nbytes)
                         for lid in boundary}
-                tiled[k] = masks, ones, base, parity_in(masks, ones)
+                tiled[k] = masks, ones, base, _input_parity(net, masks, ones)
             masks, ones, base, pin = tiled[k]
         else:
             streams = [_sampled_input_masks(net, nvec, seed, start + j)
@@ -217,7 +191,7 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
             values = evaluate_lines(net, masks, ones)
             base = {lid: values[lid] for lid in boundary}
             del values  # keep no inner line's word through the faulted run
-            pin = parity_in(masks, ones)
+            pin = _input_parity(net, masks, ones)
         fault = {lid: (model, one << (slot * j))
                  for j, lid in enumerate(batch)}
         faulted = evaluate_lines(net, masks, ones, fault)

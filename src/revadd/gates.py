@@ -3,7 +3,8 @@
 Eight gate kinds are supported, each evaluated from an explicit Boolean
 expression rather than a stored permutation table, so the expressions below
 are the single source of truth.  Truth tables, reversibility checks and
-parity checks are all derived from ``eval_gate``.
+parity checks are all derived from ``eval_gate``, and so is the set of
+parity-preserving kinds, ``PARITY_PRESERVING_KINDS``.
 
 The evaluation helpers are written with bitwise operators and an explicit
 all-ones word, which lets the netlist simulator run them either on single
@@ -166,6 +167,15 @@ def gate_cost(kind: GateKind) -> CostVector:
     return GATE_COST[kind]
 
 
+def ledger_cost(gates: dict[str, int]) -> CostVector:
+    """Hardware cost of a gate multiset (kind tag -> count) straight from
+    the cost ledger."""
+    total = CostVector()
+    for tag, count in gates.items():
+        total = total + gate_cost(GateKind(tag)) * count
+    return total
+
+
 def parity(bits) -> int:
     """XOR-fold of a bit vector (a single bit)."""
     p = 0
@@ -199,6 +209,5 @@ def is_parity_preserving_gate(kind: GateKind) -> bool:
     return all(parity(i) == parity(o) for i, o in gate_truth_table(kind))
 
 
-PARITY_PRESERVING_KINDS = frozenset({
-    GateKind.FRG, GateKind.F2G, GateKind.NFT, GateKind.IG, GateKind.MIG,
-})
+PARITY_PRESERVING_KINDS = frozenset(
+    kind for kind in GateKind if is_parity_preserving_gate(kind))

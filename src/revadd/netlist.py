@@ -20,9 +20,16 @@ from functools import cached_property
 from itertools import repeat
 from random import Random
 
-from .gates import ARITY, EVAL, CostVector, GateKind, gate_cost
+from .gates import ARITY, EVAL, CostVector, GateKind, ledger_cost
 
 EXHAUSTIVE_LIMIT = 20  # max primary-input width for exhaustive enumeration
+
+# fault model -> transform of a line's value word under the fault mask
+FAULT_TRANSFORMS = {
+    "flip": lambda val, mask: val ^ mask,
+    "sa0": lambda val, mask: val & ~mask,
+    "sa1": lambda val, mask: val | mask,
+}
 
 
 class WidthLimitError(ValueError):
@@ -310,36 +317,28 @@ def evaluate_lines(net: Netlist, input_masks, one: int, fault=None) -> dict:
     ``input_masks`` aligns with ``net.inputs``; ``one`` is the all-ones mask
     (1 for scalar runs).  ``fault``, when given, maps faulted line ids to
     ``(model, mask)``: right after the line's source produces its value
-    ``v``, before any sink reads it, a flip makes it ``v ^ mask``, a
-    stuck-at-0 ``v & ~mask`` and a stuck-at-1 ``v | mask``.  With
-    ``mask == one`` that is a single fault on every vector of the word; a
-    fault campaign instead gives each faulted line the bits of its own slot
-    of a wide word (see :func:`revadd.faults.run_campaign`).
+    ``v``, before any sink reads it, ``FAULT_TRANSFORMS[model](v, mask)``
+    replaces it.  With ``mask == one`` that is a single fault on every
+    vector of the word; a fault campaign instead gives each faulted line the
+    bits of its own slot of a wide word (see
+    :func:`revadd.faults.run_campaign`).
     """
     values = dict(zip(net.inputs, input_masks))
     for lid, pol in net.constants:
         values[lid] = one if pol else 0
     if fault:
         for lid in fault.keys() & values.keys():
-            values[lid] = _apply_fault(values[lid], *fault[lid])
+            model, mask = fault[lid]
+            values[lid] = FAULT_TRANSFORMS[model](values[lid], mask)
     for g in net.gates:
         outs = EVAL[g.kind](tuple(values[lid] for lid in g.inputs), one)
         values.update(zip(g.outputs, outs))
         if fault:
             for lid in g.outputs:
                 if lid in fault:
-                    values[lid] = _apply_fault(values[lid], *fault[lid])
+                    model, mask = fault[lid]
+                    values[lid] = FAULT_TRANSFORMS[model](values[lid], mask)
     return values
-
-
-def _apply_fault(val: int, model: str, mask: int) -> int:
-    if model == "flip":
-        return val ^ mask
-    if model == "sa0":
-        return val & ~mask
-    if model == "sa1":
-        return val | mask
-    raise ValueError(f"unknown fault model {model!r}")
 
 
 def simulate(net: Netlist, bits) -> SimResult:
@@ -384,20 +383,32 @@ def variable_masks(n: int) -> list[int]:
     return masks
 
 
-def _evaluate_exhaustive(net: Netlist, limit: int):
-    """Refuse more than ``limit`` primary inputs, then evaluate every input
-    vector of a netlist already known to be valid in one word-parallel pass.
+def _vector_count(net: Netlist, samples: int | None) -> int:
+    """Vectors a check runs over: all 2^n when ``samples`` is None, refused
+    above ``EXHAUSTIVE_LIMIT`` inputs; else ``samples``, refused below 1,
+    since a check over no vectors would check nothing."""
+    n = len(net.inputs)
+    if samples is None:
+        if n > EXHAUSTIVE_LIMIT:
+            raise WidthLimitError(
+                f"netlist {net.name!r} has {n} primary inputs; exhaustive "
+                f"enumeration is limited to {EXHAUSTIVE_LIMIT} (use a "
+                "sampled check)")
+        return 1 << n
+    if samples < 1:
+        raise ValueError(f"sample count must be positive, got {samples}")
+    return samples
+
+
+def _evaluate_exhaustive(net: Netlist):
+    """Evaluate every input vector of a netlist already known to be valid
+    in one word-parallel pass (see :func:`_vector_count` for the limit).
 
     Returns ``(total, input_masks, values)``: the vector count 2^n, the
     enumeration masks and the mask of every line.
     """
-    n = len(net.inputs)
-    if n > limit:
-        raise WidthLimitError(
-            f"netlist {net.name!r} has {n} primary inputs; exhaustive "
-            f"enumeration is limited to {limit} (use a sampled check)")
-    total = 1 << n
-    masks = variable_masks(n)
+    total = _vector_count(net, None)
+    masks = variable_masks(len(net.inputs))
     return total, masks, evaluate_lines(net, masks, (1 << total) - 1)
 
 
@@ -420,7 +431,7 @@ def _rows(masks, total: int):
                  for m in masks))
 
 
-def truth_table(net: Netlist, limit: int = EXHAUSTIVE_LIMIT):
+def truth_table(net: Netlist):
     """Rows of (inputs, outputs, garbage) over all primary-input vectors in
     lexicographic order (vector index counts input 0 as the low bit).
 
@@ -428,21 +439,28 @@ def truth_table(net: Netlist, limit: int = EXHAUSTIVE_LIMIT):
     linear in the number of vectors times the boundary width.
     """
     _check_valid(net)
-    total, in_masks, values = _evaluate_exhaustive(net, limit)
+    total, in_masks, values = _evaluate_exhaustive(net)
     out_masks = [values[lid] for _, lid in net.outputs]
     garb_masks = [values[lid] for lid in net.garbage]
     return list(zip(_rows(in_masks, total), _rows(out_masks, total),
                     _rows(garb_masks, total)))
 
 
+def _input_parity(net: Netlist, input_masks, one: int) -> int:
+    """Input-side parity word: the XOR of the primary-input masks and of
+    every constant (all-ones word ``one`` for a 1)."""
+    pin = 0
+    for m in input_masks:
+        pin ^= m
+    for _, pol in net.constants:
+        pin ^= one if pol else 0
+    return pin
+
+
 def _parity_conserved(net: Netlist, values: dict, one: int) -> bool:
     """On every vector, the parity of the inputs (constants included)
     equals the parity of the outputs (garbage included)."""
-    pin = 0
-    for lid in net.inputs:
-        pin ^= values[lid]
-    for lid, pol in net.constants:
-        pin ^= one if pol else 0
+    pin = _input_parity(net, map(values.__getitem__, net.inputs), one)
     pout = 0
     for _, lid in net.outputs:
         pout ^= values[lid]
@@ -451,10 +469,10 @@ def _parity_conserved(net: Netlist, values: dict, one: int) -> bool:
     return pin == pout
 
 
-def is_parity_preserving_circuit(net: Netlist, limit: int = EXHAUSTIVE_LIMIT) -> bool:
+def is_parity_preserving_circuit(net: Netlist) -> bool:
     """Exhaustively check boundary parity conservation over all input vectors."""
     _check_valid(net)
-    total, _, values = _evaluate_exhaustive(net, limit)
+    total, _, values = _evaluate_exhaustive(net)
     return _parity_conserved(net, values, (1 << total) - 1)
 
 
@@ -472,10 +490,8 @@ def is_parity_preserving_circuit_sampled(net: Netlist, samples: int,
 def _sampled_parity(net: Netlist, samples: int, seed: int) -> bool:
     """:func:`is_parity_preserving_circuit_sampled` for a netlist already
     known to be valid."""
-    if samples < 1:
-        raise ValueError(f"sample count must be positive, got {samples}")
+    one = (1 << _vector_count(net, samples)) - 1
     rng = Random(seed)
-    one = (1 << samples) - 1
     masks = [rng.getrandbits(samples) for _ in net.inputs]
     values = evaluate_lines(net, masks, one)
     return _parity_conserved(net, values, one)
@@ -495,11 +511,11 @@ def _injective(net: Netlist, total: int, values: dict) -> bool:
     return len(set(map(bytes, _rows(masks, total)))) == total
 
 
-def is_reversible_circuit(net: Netlist, limit: int = EXHAUSTIVE_LIMIT) -> bool:
+def is_reversible_circuit(net: Netlist) -> bool:
     """True iff, with constants fixed, the boundary map from primary inputs
     to (outputs + garbage) is injective."""
     _check_valid(net)
-    total, _, values = _evaluate_exhaustive(net, limit)
+    total, _, values = _evaluate_exhaustive(net)
     return _injective(net, total, values)
 
 
@@ -507,7 +523,7 @@ def _exhaustive_verdicts(net: Netlist) -> tuple[bool, bool]:
     """``(is_reversible_circuit(net), is_parity_preserving_circuit(net))``
     for a netlist already known to be valid, from one exhaustive
     evaluation."""
-    total, _, values = _evaluate_exhaustive(net, EXHAUSTIVE_LIMIT)
+    total, _, values = _evaluate_exhaustive(net)
     return (_injective(net, total, values),
             _parity_conserved(net, values, (1 << total) - 1))
 
@@ -516,9 +532,7 @@ def metrics(net: Netlist) -> MetricsReport:
     """Gate counts, additive hardware cost, constants and garbage totals."""
     _check_valid(net)
     counts: dict[str, int] = {}
-    cost = CostVector()
     for g in net.gates:
         counts[g.kind.value] = counts.get(g.kind.value, 0) + 1
-        cost = cost + gate_cost(g.kind)
-    return MetricsReport(counts, len(net.gates), cost,
+    return MetricsReport(counts, len(net.gates), ledger_cost(counts),
                          len(net.constants), len(net.garbage))

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 
 from . import builders
-from .gates import CostVector, GateKind, gate_cost
+from .gates import CostVector, ledger_cost
 from .netlist import metrics
 
 
@@ -53,14 +53,6 @@ PUBLISHED_ROWS: tuple[PublishedRow, ...] = (
     PublishedRow("hsa16", "16-bit HSA", {"MIG": 32, "NFT": 16, "F2G": 8},
                  CostVector(320, 112, 48), 60, 76, builder="hsa16"),
 )
-
-
-def ledger_cost(gates: dict[str, int]) -> CostVector:
-    """Hardware cost of a gate multiset straight from the cost ledger."""
-    total = CostVector()
-    for tag, count in gates.items():
-        total = total + gate_cost(GateKind(tag)) * count
-    return total
 
 
 def build_table1() -> list[dict]:

@@ -113,7 +113,7 @@ class _Parser:
                                "netlist/version/input/const/gate/output/garbage)")
                 continue
             handler(toks)
-        if self.name is None:
+        if self.header is None:
             self.diags.append(Diagnostic(1, 1, "missing 'netlist <name>' header"))
         if not self.version_seen:
             self.diags.append(Diagnostic(1, 1, "missing 'version 1' header"))
@@ -149,13 +149,12 @@ class _Parser:
         self.name = toks[1].text
 
     def _stmt_version(self, toks):
+        self.version_seen = True
         if len(toks) != 2 or toks[1].text != str(FORMAT_VERSION):
             tok = toks[1] if len(toks) > 1 else toks[0]
             found = toks[1].text if len(toks) > 1 else "nothing"
             self.err(tok, f"unsupported format version {found!r} "
                           f"(expected {FORMAT_VERSION})")
-            return
-        self.version_seen = True
 
     def _stmt_input(self, toks):
         if len(toks) < 2:

@@ -7,6 +7,7 @@ import pytest
 from helpers import pg_full_adder
 from revadd import build_design, netlist, parse_netlist, serialize
 from revadd.cli import main
+from revadd.faults import FAULT_MODELS
 
 
 def run(capsys, *argv):
@@ -219,3 +220,33 @@ def test_parse_error_exits_one(tmp_path, capsys):
 def test_unknown_subcommand_is_a_usage_error(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("model", FAULT_MODELS)
+def test_faults_accepts_every_fault_model(capsys, model):
+    code, out, _ = run(capsys, "faults", "fa", "--model", model, "--json")
+    assert code == 0
+    assert json.loads(out)["model"] == model
+
+
+def test_faults_rejects_unknown_model(capsys):
+    code, out, err = run(capsys, "faults", "fa", "--model", "bogus")
+    assert code == 2 and out == ""
+    assert "invalid choice: 'bogus'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", "rca:0"), ("build", "rca:17"), ("build", "rca:99"),
+    ("verify", "rca:21"),
+])
+def test_out_of_range_design_width_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ripple width") and "1..16" in err
+
+
+def test_exhaustive_campaign_over_the_limit_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "faults", "hsa16")
+    assert code == 2 and out == ""
+    assert err.startswith("error: netlist 'hsa16' has 33 primary inputs")
+    assert "--samples" in err and "--seed" in err

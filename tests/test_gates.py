@@ -2,9 +2,9 @@
 
 import pytest
 
-from revadd import (ARITY, ArityError, CostVector, GateKind, eval_gate,
-                    gate_cost, gate_truth_table, is_parity_preserving_gate,
-                    is_reversible_gate, parity)
+from revadd import (ARITY, PARITY_PRESERVING_KINDS, ArityError, CostVector,
+                    GateKind, eval_gate, gate_cost, gate_truth_table,
+                    is_parity_preserving_gate, is_reversible_gate, parity)
 
 ALL_KINDS = list(GateKind)
 PRESERVING = {GateKind.FRG, GateKind.F2G, GateKind.NFT, GateKind.IG,
@@ -130,3 +130,7 @@ def test_parity_helper():
     assert parity(()) == 0
     assert parity((1, 1, 1)) == 1
     assert parity((1, 0, 1, 0)) == 0
+
+
+def test_parity_preserving_kinds_are_the_preserving_partition():
+    assert PARITY_PRESERVING_KINDS == PRESERVING

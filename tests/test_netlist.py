@@ -20,7 +20,8 @@ from revadd import (GateInstance, GateKind, Netlist, NetlistBuilder,
                     is_parity_preserving_circuit_sampled,
                     is_reversible_circuit, metrics, netlist, parse_netlist,
                     run_campaign, serialize, simulate, truth_table, validate)
-from revadd.netlist import variable_masks
+from revadd.faults import FAULT_MODELS
+from revadd.netlist import EXHAUSTIVE_LIMIT, FAULT_TRANSFORMS, variable_masks
 
 MIG = GateKind.MIG
 F2G = GateKind.F2G
@@ -515,3 +516,34 @@ def test_simulation_invariant_under_instance_reorder():
         assert validate(shuffled) == []
         assert truth_table(shuffled) == want
     assert saw_different_order
+
+
+def test_every_exhaustive_check_refuses_with_one_message():
+    wide = passthrough(EXHAUSTIVE_LIMIT + 1)
+    messages = set()
+    for check in (truth_table, is_reversible_circuit,
+                  is_parity_preserving_circuit, run_campaign):
+        with pytest.raises(WidthLimitError) as err:
+            check(wide)
+        messages.add(str(err.value))
+    assert messages == {
+        f"netlist 'wires' has {EXHAUSTIVE_LIMIT + 1} primary inputs; "
+        f"exhaustive enumeration is limited to {EXHAUSTIVE_LIMIT} "
+        "(use a sampled check)"}
+
+
+def test_every_sampled_check_refuses_zero_samples_with_one_message():
+    with pytest.raises(ValueError) as campaign:
+        run_campaign(build_full_adder(), "flip", samples=0, seed=1)
+    with pytest.raises(ValueError) as parity_check:
+        is_parity_preserving_circuit_sampled(build_full_adder(), 0, 0)
+    assert (str(campaign.value) == str(parity_check.value)
+            == "sample count must be positive, got 0")
+
+
+def test_fault_transforms():
+    value, mask = 0b1100, 0b1010
+    assert FAULT_TRANSFORMS["flip"](value, mask) == 0b0110
+    assert FAULT_TRANSFORMS["sa0"](value, mask) == 0b0100
+    assert FAULT_TRANSFORMS["sa1"](value, mask) == 0b1110
+    assert FAULT_MODELS == tuple(FAULT_TRANSFORMS) == ("flip", "sa0", "sa1")

@@ -189,3 +189,13 @@ def test_structural_diagnostics_are_placed_violations():
                "primary output, or garbage"),
         (1, 1, "[width] boundary width mismatch: 2 inputs+constants vs "
                "1 outputs+garbage")]
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("netlist t\nversion 9\n",
+     (2, 9, "unsupported format version '9' (expected 1)")),
+    ("netlist\nversion 1\n", (1, 1, "expected: netlist <name>")),
+])
+def test_malformed_header_is_reported_once(text, expected):
+    # the header statement is present, so it is not also "missing"
+    assert [(d.line, d.col, d.message) for d in diags_of(text)] == [expected]
