@@ -211,14 +211,26 @@ def design_names() -> list[str]:
     return list(_DESIGNS)
 
 
+# (builder, its argument if any) -> the netlist it built
+_BUILT: dict[tuple, Netlist] = {}
+
+
 def build_design(name: str) -> Netlist:
-    """Build a design by CLI name: fa, rca:<n>, cla2, csa4, hsa16."""
+    """Build a design by CLI name: fa, rca:<n>, cla2, csa4, hsa16.
+
+    A design is built once per process: netlists are immutable, so each
+    later call returns the same instance, with its violations and slot
+    program already worked out.  The key is the builder and its integer
+    argument, so ``rca:8`` and ``rca:008`` share one netlist; a build that
+    raises is not kept.
+    """
     key, colon, arg = name.partition(":")
     builder = _DESIGNS.get(key + ":<n>" if colon else key)
-    if builder is not None:
-        if not colon:
-            return builder()
-        if re.fullmatch(r"\d+", arg):
-            return builder(int(arg))
+    if builder is not None and (not colon or re.fullmatch(r"\d+", arg)):
+        args = (int(arg),) if colon else ()
+        net = _BUILT.get((builder, *args))
+        if net is None:
+            net = _BUILT[(builder, *args)] = builder(*args)
+        return net
     raise KeyError(f"unknown design {name!r} (expected one of: "
                    f"{', '.join(design_names())})")

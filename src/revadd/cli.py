@@ -54,7 +54,13 @@ def _load(target: str) -> Netlist:
 
 def _operand_groups(line_ids: list[str]) -> dict[str, list[tuple[int, str]]]:
     """Group line ids into named operands: ``a0..a3`` -> operand ``a``;
-    an unindexed id like ``cin`` is a 1-bit operand of its own."""
+    an unindexed id like ``cin`` is a 1-bit operand of its own.
+
+    Operand names match case-insensitively, so the ids of one operand must
+    spell its name alike (``cin`` with ``Cin`` is refused), and a multi-bit
+    operand's indices must be exactly ``0..w-1`` (``a0`` with ``a2`` is
+    refused); a lone id keeps its index (``C2``).
+    """
     groups: dict[str, list[tuple[int, str]]] = {}
     for lid in line_ids:
         m = re.fullmatch(r"([A-Za-z_]+?)(\d+)?", lid)
@@ -64,8 +70,15 @@ def _operand_groups(line_ids: list[str]) -> dict[str, list[tuple[int, str]]]:
         name = m.group(1).lower()
         idx = int(m.group(2)) if m.group(2) is not None else 0
         groups.setdefault(name, []).append((idx, lid))
-    for bits in groups.values():
+    for name, bits in groups.items():
         bits.sort()
+        ids = ", ".join(lid for _, lid in bits)
+        if len({lid[:len(name)] for _, lid in bits}) > 1:
+            raise UsageError(f"ids {ids} spell operand {name!r} in "
+                             "different case")
+        if len(bits) > 1 and [i for i, _ in bits] != list(range(len(bits))):
+            raise UsageError(f"ids {ids} do not index operand {name!r} "
+                             f"as bits 0..{len(bits) - 1}")
     return groups
 
 

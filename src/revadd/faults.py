@@ -34,8 +34,8 @@ from random import Random
 
 from .gates import parity
 from .netlist import (FAULT_TRANSFORMS, Netlist, SimResult, _check_valid,
-                      _input_parity, _simulate_vector, _vector_count,
-                      evaluate_lines, variable_masks)
+                      _fault_transform, _input_parity, _simulate_vector,
+                      _vector_count, evaluate_lines, variable_masks)
 
 FAULT_MODELS = tuple(FAULT_TRANSFORMS)
 WORD_BITS = 1 << 16  # widest word a campaign batch packs its sites into
@@ -49,9 +49,7 @@ class FaultSite:
     model: str = "flip"
 
     def __post_init__(self):
-        if self.model not in FAULT_MODELS:
-            raise ValueError(f"unknown fault model {self.model!r}; "
-                             f"expected one of {FAULT_MODELS}")
+        _fault_transform(self.model)
 
 
 @dataclass(frozen=True)
@@ -94,7 +92,7 @@ def enumerate_fault_sites(net: Netlist, model: str = "flip") -> list[FaultSite]:
 def simulate_with_fault(net: Netlist, fault: FaultSite, bits) -> SimResult:
     """Like simulate, with the faulted line transformed in flight."""
     _check_valid(net)
-    if fault.line not in set(net.all_lines()):
+    if fault.line not in net._program.slot:
         raise KeyError(f"unknown line id {fault.line!r}")
     return _simulate_vector(net, bits, {fault.line: (fault.model, 1)})
 
@@ -150,8 +148,7 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
     slots (one slot's bytes repeated) once per batch size.
     """
     _check_valid(net)
-    if model not in FAULT_MODELS:
-        raise ValueError(f"unknown fault model {model!r}")
+    _fault_transform(model)
     if samples is not None and seed is None:
         raise ValueError("sampled campaigns require a seed "
                          "(reports must be reproducible)")

@@ -10,7 +10,9 @@ many outputs as inputs, and is re-checked by :func:`validate`.
 Simulation is word-parallel: every line carries a Python integer used as a
 bitmask with one bit per test vector, and the gate expressions from
 :mod:`revadd.gates` apply unchanged.  Scalar simulation is the one-vector
-special case.
+special case.  A netlist is compiled once, on its first evaluation, into a
+slot program kept on the instance: each line's value lives at a fixed index
+of a list, and each gate reads its input slots with one ``itemgetter``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
+from operator import itemgetter
 from random import Random
+from typing import Callable, NamedTuple
 
 from .gates import ARITY, EVAL, CostVector, GateKind, ledger_cost
 
@@ -30,6 +34,16 @@ FAULT_TRANSFORMS = {
     "sa0": lambda val, mask: val & ~mask,
     "sa1": lambda val, mask: val | mask,
 }
+
+
+def _fault_transform(model: str):
+    """The transform of fault model ``model``; the one check of a model
+    name, shared by fault sites, campaigns and :func:`evaluate_lines`."""
+    try:
+        return FAULT_TRANSFORMS[model]
+    except KeyError:
+        raise ValueError(f"unknown fault model {model!r}; expected one of "
+                         f"{tuple(FAULT_TRANSFORMS)}") from None
 
 
 class WidthLimitError(ValueError):
@@ -47,14 +61,30 @@ class GateInstance:
     outputs: tuple[str, ...]
 
 
+class _Program(NamedTuple):
+    """The slot-compiled form of a netlist that :func:`evaluate_lines` runs.
+
+    Slot ``s`` holds the value of line ``lines[s]``; the slots follow
+    :meth:`Netlist.all_lines`, so a gate's outputs are appended in order
+    right after the gate runs.
+    """
+
+    lines: tuple[str, ...]        # slot -> line id
+    slot: dict[str, int]          # line id -> slot
+    steps: tuple[tuple[GateKind, Callable], ...]  # (kind, input-slot reader)
+    producer: tuple[int, ...]     # slot -> index of its gate, -1 at boundary
+
+
 @dataclass(frozen=True)
 class Netlist:
     """An immutable netlist; construct via :class:`NetlistBuilder`.
 
     The sequence fields are stored as tuples, whatever sequences they were
     given as.  The structural violations of an instance are worked out once,
-    on the first :func:`validate`, and kept on it outside the dataclass
-    fields, so equality, ``repr`` and ``dataclasses.replace`` ignore them.
+    on the first :func:`validate`, and its slot program once, on the first
+    :func:`evaluate_lines`.  Both are kept on the instance outside the
+    dataclass fields, so equality, ``repr`` and ``dataclasses.replace``
+    ignore them.
     """
 
     name: str
@@ -71,6 +101,17 @@ class Netlist:
     @cached_property
     def _violations(self) -> tuple[Violation, ...]:
         return _find_violations(self)
+
+    @cached_property
+    def _program(self) -> _Program:
+        lines = tuple(self.all_lines())
+        slot = dict(zip(lines, range(len(lines))))
+        read = slot.__getitem__
+        steps = [(g.kind, itemgetter(*map(read, g.inputs))) for g in self.gates]
+        producer = [-1] * self.boundary_in_width()
+        for idx, g in enumerate(self.gates):
+            producer += [idx] * len(g.outputs)
+        return _Program(lines, slot, tuple(steps), tuple(producer))
 
     def all_lines(self) -> list[str]:
         """Every line id in deterministic source order."""
@@ -175,13 +216,15 @@ class NetlistBuilder:
         """Close the netlist; unconsumed lines not named as outputs become
         garbage, in definition order.  Raises :class:`NetlistError` listing
         the :func:`validate` violations, e.g. when an output names an unknown
-        or consumed line, or the same line twice."""
+        or consumed line, or the same line twice.  The violations found here
+        stay on the netlist, so a valid one is never checked again."""
         out_lines = {lid for _, lid in outputs}
         garbage = [lid for lid in self._defined
                    if lid not in self._consumed and lid not in out_lines]
         net = Netlist(self.name, self._inputs, self._constants, self._gates,
                       outputs, garbage)
-        _check_valid(net)
+        if net._violations:
+            _check_valid(net)
         return net
 
 
@@ -321,24 +364,39 @@ def evaluate_lines(net: Netlist, input_masks, one: int, fault=None) -> dict:
     replaces it.  With ``mask == one`` that is a single fault on every
     vector of the word; a fault campaign instead gives each faulted line the
     bits of its own slot of a wide word (see
-    :func:`revadd.faults.run_campaign`).
+    :func:`revadd.faults.run_campaign`).  An unknown model raises
+    ``ValueError``; ids the netlist lacks are ignored.
+
+    Runs the netlist's slot program (compiled on the first call).  Each
+    pass looks its gates up in ``revadd.gates.EVAL`` afresh, so the program
+    never holds a gate function.
     """
-    values = dict(zip(net.inputs, input_masks))
-    for lid, pol in net.constants:
-        values[lid] = one if pol else 0
-    if fault:
-        for lid in fault.keys() & values.keys():
-            model, mask = fault[lid]
-            values[lid] = FAULT_TRANSFORMS[model](values[lid], mask)
-    for g in net.gates:
-        outs = EVAL[g.kind](tuple(values[lid] for lid in g.inputs), one)
-        values.update(zip(g.outputs, outs))
-        if fault:
-            for lid in g.outputs:
-                if lid in fault:
-                    model, mask = fault[lid]
-                    values[lid] = FAULT_TRANSFORMS[model](values[lid], mask)
-    return values
+    prog = net._program
+    values = list(input_masks)
+    if len(values) != len(net.inputs):
+        raise ValueError(f"netlist {net.name!r} has {len(net.inputs)} "
+                         f"primary inputs, got {len(values)} masks")
+    values += [one if pol else 0 for _, pol in net.constants]
+    put = values.extend
+    if not fault:
+        for kind, read in prog.steps:
+            put(EVAL[kind](read(values), one))
+        return dict(zip(prog.lines, values))
+    hits: dict[int, list] = {}  # producing gate (-1: none) -> faulted slots
+    slot, producer = prog.slot, prog.producer
+    for lid, (model, mask) in fault.items():
+        # _fault_transform is reached, and raises, only on an unknown model
+        transform = FAULT_TRANSFORMS.get(model) or _fault_transform(model)
+        s = slot.get(lid)
+        if s is not None:
+            hits.setdefault(producer[s], []).append((s, transform, mask))
+    for s, transform, mask in hits.get(-1, ()):
+        values[s] = transform(values[s], mask)
+    for idx, (kind, read) in enumerate(prog.steps):
+        put(EVAL[kind](read(values), one))
+        for s, transform, mask in hits.get(idx, ()):
+            values[s] = transform(values[s], mask)
+    return dict(zip(prog.lines, values))
 
 
 def simulate(net: Netlist, bits) -> SimResult:

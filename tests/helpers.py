@@ -5,7 +5,8 @@ from random import Random
 from revadd import (ARITY, PARITY_PRESERVING_KINDS, CampaignReport,
                     GateInstance, GateKind, Netlist, NetlistBuilder,
                     Violation, truth_table)
-from revadd.netlist import evaluate_lines, variable_masks
+from revadd.gates import EVAL
+from revadd.netlist import FAULT_TRANSFORMS, variable_masks
 
 
 def int_to_bits(value: int, width: int) -> list[int]:
@@ -156,10 +157,34 @@ def reference_validate(net: Netlist) -> list[Violation]:
     return v
 
 
+def reference_evaluate_lines(net: Netlist, input_masks, one: int,
+                             fault=None) -> dict:
+    """Dict-based oracle for :func:`revadd.netlist.evaluate_lines`: looks
+    every gate input up by line id, and applies a faulted line's transform
+    right after its source assigns it."""
+    values = dict(zip(net.inputs, input_masks))
+    for lid, pol in net.constants:
+        values[lid] = one if pol else 0
+    if fault:
+        for lid in fault.keys() & values.keys():
+            model, mask = fault[lid]
+            values[lid] = FAULT_TRANSFORMS[model](values[lid], mask)
+    for g in net.gates:
+        outs = EVAL[g.kind](tuple(values[lid] for lid in g.inputs), one)
+        values.update(zip(g.outputs, outs))
+        if fault:
+            for lid in g.outputs:
+                if lid in fault:
+                    model, mask = fault[lid]
+                    values[lid] = FAULT_TRANSFORMS[model](values[lid], mask)
+    return values
+
+
 def _exhaustive_masks(net: Netlist):
     n = len(net.inputs)
     total = 1 << n
-    values = evaluate_lines(net, variable_masks(n), (1 << total) - 1)
+    values = reference_evaluate_lines(net, variable_masks(n),
+                                      (1 << total) - 1)
     out_masks = [values[lid] for _, lid in net.outputs]
     garb_masks = [values[lid] for lid in net.garbage]
     return n, total, out_masks, garb_masks
@@ -213,8 +238,9 @@ def reference_campaign(net: Netlist, model: str = "flip", samples=None,
         else:
             rng = Random(f"{seed}/{idx}")
             masks = [rng.getrandbits(nvec) for _ in net.inputs]
-        base = evaluate_lines(net, masks, one)
-        faulted = evaluate_lines(net, masks, one, {lid: (model, one)})
+        base = reference_evaluate_lines(net, masks, one)
+        faulted = reference_evaluate_lines(net, masks, one,
+                                           {lid: (model, one)})
         pin = 0
         for m in masks:
             pin ^= m

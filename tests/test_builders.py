@@ -6,11 +6,11 @@ import pytest
 
 from helpers import (bits_to_int, check_adder_exhaustive, int_to_bits,
                      operand_vector)
-from revadd import (AdderSpec, build_cla2, build_csa4, build_design,
-                    build_full_adder, build_hsa16, build_rca,
-                    is_parity_preserving_circuit,
-                    is_parity_preserving_circuit_sampled, metrics, simulate,
-                    truth_table, validate)
+from revadd import (AdderSpec, GateKind, build_cla2, build_csa4,
+                    build_design, build_full_adder, build_hsa16, build_rca,
+                    builders, gates, is_parity_preserving_circuit,
+                    is_parity_preserving_circuit_sampled, metrics, netlist,
+                    simulate, truth_table, validate)
 
 EXPECTED_METRICS = {
     "fa": ({"MIG": 2}, 2, (6, 4, 2), 2, 3),
@@ -166,3 +166,42 @@ def test_operands_are_little_endian():
     r = simulate(rca, operand_vector(0b01, 0b00, 0, 2))
     assert (r.outputs["S0"], r.outputs["S1"]) == (1, 0)
     assert int_to_bits(2, 2) == [0, 1]
+
+
+@pytest.mark.parametrize("design", ["fa", "cla2", "csa4", "hsa16", "rca:8"])
+def test_build_design_returns_one_netlist_per_design(design):
+    assert build_design(design) is build_design(design)
+
+
+def test_build_design_keys_on_the_builder_argument():
+    assert build_design("rca:8") is build_design("rca:008")
+    assert build_design("rca:8") is not build_design("rca:7")
+
+
+@pytest.mark.parametrize("name", ["rca:0", "rca:99"])
+def test_failed_build_is_not_kept(name):
+    before = dict(builders._BUILT)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="out of range 1..16"):
+            build_design(name)
+    assert builders._BUILT == before
+
+
+def test_valid_finish_makes_no_validate_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(netlist, "validate",
+                        lambda net: calls.append(net) or [])
+    assert build_full_adder().name == "fa"
+    assert calls == []
+
+
+def test_memoized_design_runs_the_current_gate_table(monkeypatch):
+    fa = build_design("fa")
+    want = simulate(fa, (1, 1, 1)).outputs
+    assert want == {"Sum": 1, "Cout": 1}
+    with monkeypatch.context() as m:
+        # an identity MIG routes cin to Sum and the constant k0 to Cout
+        m.setitem(gates.EVAL, GateKind.MIG, lambda v, one: v)
+        assert build_design("fa") is fa
+        assert simulate(fa, (1, 1, 1)).outputs == {"Sum": 1, "Cout": 0}
+    assert simulate(build_design("fa"), (1, 1, 1)).outputs == want

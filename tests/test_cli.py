@@ -250,3 +250,52 @@ def test_exhaustive_campaign_over_the_limit_is_a_usage_error(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: netlist 'hsa16' has 33 primary inputs")
     assert "--samples" in err and "--seed" in err
+
+
+def _wires(tmp_path, inputs, outputs=None):
+    """A gateless netlist file wiring each input id to an output."""
+    outputs = outputs or [f"O{i}" for i in range(len(inputs))]
+    path = tmp_path / "wires.net"
+    path.write_text("netlist wires\nversion 1\n"
+                    f"input {' '.join(inputs)}\noutput "
+                    + " ".join(f"{o}={i}" for o, i in zip(outputs, inputs))
+                    + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("inputs, assignment, ids", [
+    (["a0", "a2", "A1"], "A=0", "a0, A1, a2"),
+    (["cin", "Cin"], "Cin=0", "Cin, cin"),
+    (["a0", "a2"], "A=0", "a0, a2"),
+    (["a", "a0"], "A=0", "a, a0"),
+])
+def test_sim_refuses_ambiguous_operands_naming_the_ids(tmp_path, capsys,
+                                                        inputs, assignment,
+                                                        ids):
+    code, out, err = run(capsys, "sim", _wires(tmp_path, inputs),
+                         "--inputs", assignment)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: ids {ids} ")
+
+
+def test_sim_refuses_ambiguous_output_operands(tmp_path, capsys):
+    path = _wires(tmp_path, ["x", "y"], ["S0", "S2"])
+    code, out, err = run(capsys, "sim", path, "--inputs", "X=1,Y=0")
+    assert code == 2 and out == ""
+    assert "ids S0, S2 do not index operand 's' as bits 0..1" in err
+
+
+def test_sim_lone_id_keeps_its_index(tmp_path, capsys):
+    path = _wires(tmp_path, ["a3", "b0", "b1"], ["C2", "S0", "S1"])
+    assert run(capsys, "sim", path, "--inputs", "A=1,B=2") == (
+        0, "C2 = 1\nS = 0x2 (0b10)\ngarbage = \n", "")
+
+
+@pytest.mark.parametrize("design", ["fa", "cla2", "csa4", "hsa16"]
+                         + [f"rca:{n}" for n in range(1, 17)])
+def test_sim_accepts_every_built_in_design(capsys, design):
+    net = build_design(design)
+    ops = {lid.rstrip("0123456789").upper() for lid in net.inputs}
+    code, out, _ = run(capsys, "sim", design, "--inputs",
+                       ",".join(f"{op}=0" for op in sorted(ops)))
+    assert code == 0 and "garbage = " in out

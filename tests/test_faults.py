@@ -42,6 +42,21 @@ def test_fault_site_rejects_unknown_model():
         FaultSite("a", "burnout")
 
 
+UNKNOWN_MODEL = ("unknown fault model 'bogus'; expected one of "
+                 "('flip', 'sa0', 'sa1')")
+
+
+@pytest.mark.parametrize("entry", [
+    lambda fa: FaultSite("a", "bogus"),
+    lambda fa: run_campaign(fa, "bogus"),
+    lambda fa: netlist.evaluate_lines(fa, [0, 0, 0], 1, {"a": ("bogus", 1)}),
+], ids=["FaultSite", "run_campaign", "evaluate_lines"])
+def test_unknown_model_has_one_check_and_one_message(entry):
+    with pytest.raises(ValueError) as info:
+        entry(build_full_adder())
+    assert str(info.value) == UNKNOWN_MODEL
+
+
 def test_flipped_carry_in_behaves_as_complemented_input():
     fa = build_full_adder()
     faulted = simulate_with_fault(fa, FaultSite("cin", "flip"), (1, 1, 0))
