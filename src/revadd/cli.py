@@ -91,7 +91,7 @@ def _sample_count(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if count < 1:
         raise argparse.ArgumentTypeError(
-            f"sample count must be at least 1, got {count}")
+            f"sample count must be positive, got {count}")
     return count
 
 

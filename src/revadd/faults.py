@@ -137,7 +137,8 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
     ``samples=None`` enumerates all primary-input vectors (refused above
     ``EXHAUSTIVE_LIMIT`` inputs).  Sampled mode requires a seed so reports
     reproduce; site i draws its vectors from its own stream keyed by
-    ``(seed, i)``.
+    ``(seed, i)``.  Only a sampled report carries the seed, since an
+    exhaustive run draws nothing from it.
 
     Sites run in batches of ``max(1, WORD_BITS // slot)``, where a slot is
     ``nvec`` rounded up to whole bytes (layout in the module docstring).
@@ -213,4 +214,5 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
     coverage = 1.0 if judged == 0 else detected / judged
     return CampaignReport(net.name, model, len(lines), nvec, detected,
                           silent, corrupting, coverage,
-                          prim_seen, prim_missed, seed=seed)
+                          prim_seen, prim_missed,
+                          seed=None if samples is None else seed)

@@ -17,7 +17,7 @@ of a list, and each gate reads its input slots with one ``itemgetter``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
@@ -167,62 +167,52 @@ class MetricsReport:
 
 
 class NetlistBuilder:
-    """Accumulating constructor; gates only ever reference existing lines,
-    which makes cycles unrepresentable and keeps instances topologically
-    ordered by construction."""
+    """Accumulating constructor: ``input``, ``const`` and ``gate`` record
+    what they are given and return the line ids; :meth:`finish` judges the
+    whole netlist with :func:`validate`.
+
+    A netlist that :meth:`finish` returns is acyclic and topologically
+    ordered, since ``validate`` refuses a gate that reads a line no earlier
+    source defines (category ``order``)."""
 
     def __init__(self, name: str):
         self.name = name
         self._inputs: list[str] = []
         self._constants: list[tuple[str, int]] = []
         self._gates: list[GateInstance] = []
-        self._defined: dict[str, None] = {}
-        self._consumed: set[str] = set()
-
-    def _define(self, lid: str) -> str:
-        if lid in self._defined:
-            raise ValueError(f"line {lid!r} already defined")
-        self._defined[lid] = None
-        return lid
 
     def input(self, lid: str) -> str:
-        self._inputs.append(self._define(lid))
+        self._inputs.append(lid)
         return lid
 
     def const(self, lid: str, value: int = 0) -> str:
-        if value not in (0, 1):
-            raise ValueError(f"constant {lid!r} must be 0 or 1")
-        self._constants.append((self._define(lid), value))
+        self._constants.append((lid, value))
         return lid
 
     def gate(self, kind: GateKind, ins, outs) -> tuple[str, ...]:
-        ins, outs = tuple(ins), tuple(outs)
-        n = ARITY[kind]
-        if len(ins) != n or len(outs) != n:
-            raise ValueError(
-                f"{kind.value} gate needs {n} inputs and {n} outputs")
-        for lid in ins:
-            if lid not in self._defined:
-                raise ValueError(f"gate input {lid!r} is not defined yet")
-            if lid in self._consumed:
-                raise ValueError(f"fanout: line {lid!r} already consumed")
-        self._consumed.update(ins)
-        for lid in outs:
-            self._define(lid)
-        self._gates.append(GateInstance(kind, ins, outs))
-        return outs
+        g = GateInstance(kind, tuple(ins), tuple(outs))
+        self._gates.append(g)
+        return g.outputs
 
     def finish(self, outputs: list[tuple[str, str]]) -> Netlist:
-        """Close the netlist; unconsumed lines not named as outputs become
-        garbage, in definition order.  Raises :class:`NetlistError` listing
-        the :func:`validate` violations, e.g. when an output names an unknown
-        or consumed line, or the same line twice.  The violations found here
-        stay on the netlist, so a valid one is never checked again."""
-        out_lines = {lid for _, lid in outputs}
-        garbage = [lid for lid in self._defined
-                   if lid not in self._consumed and lid not in out_lines]
+        """Close the netlist; the lines that no gate reads and no output
+        names become garbage, in :meth:`Netlist.all_lines` order.
+
+        Raises :class:`NetlistError` listing the :func:`validate` violations
+        of what was recorded, e.g. a line read twice (``fanout``), a gate
+        reading an undefined line (``order``), a gate of the wrong arity
+        (``width``), or a line defined twice or a constant that is not 0 or
+        1 (``role``).  The violations found here stay on the netlist, so a
+        valid one is never checked again."""
         net = Netlist(self.name, self._inputs, self._constants, self._gates,
-                      outputs, garbage)
+                      outputs)
+        read = {lid for _, lid in outputs}
+        for g in net.gates:
+            read.update(g.inputs)
+        # a line defined twice is listed once, so validate reports the
+        # redefinition and not a second garbage sink
+        net = replace(net, garbage=dict.fromkeys(
+            lid for lid in net.all_lines() if lid not in read))
         if net._violations:
             _check_valid(net)
         return net
@@ -375,7 +365,7 @@ def evaluate_lines(net: Netlist, input_masks, one: int, fault=None) -> dict:
     values = list(input_masks)
     if len(values) != len(net.inputs):
         raise ValueError(f"netlist {net.name!r} has {len(net.inputs)} "
-                         f"primary inputs, got {len(values)} masks")
+                         f"primary inputs, got {len(values)} input values")
     values += [one if pol else 0 for _, pol in net.constants]
     put = values.extend
     if not fault:
@@ -410,9 +400,6 @@ def _simulate_vector(net: Netlist, bits, fault=None) -> SimResult:
     """One-vector run of a netlist already known to be valid; ``fault`` maps
     line ids to ``(model, mask)`` as for :func:`evaluate_lines`."""
     bits = tuple(bits)
-    if len(bits) != len(net.inputs):
-        raise ValueError(f"netlist {net.name!r} has {len(net.inputs)} primary "
-                         f"inputs, got {len(bits)} bits")
     if any(b not in (0, 1) for b in bits):
         raise ValueError(f"non-binary value in input vector {bits!r}")
     values = evaluate_lines(net, bits, 1, fault=fault)

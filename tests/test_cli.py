@@ -146,6 +146,13 @@ def test_faults_json(capsys):
     assert data["sites_total"] == 74
 
 
+def test_exhaustive_faults_json_echoes_no_seed(capsys):
+    code, out, _ = run(capsys, "faults", "fa", "--seed", "1", "--json")
+    assert code == 0
+    assert "seed" not in json.loads(out)
+    assert out == run(capsys, "faults", "fa", "--json")[1]
+
+
 def test_faults_sampled_requires_seed(capsys):
     code, _, err = run(capsys, "faults", "hsa16", "--samples", "10")
     assert code == 2
@@ -192,7 +199,7 @@ def test_unknown_design_or_file(capsys):
 def test_sample_counts_below_one_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert "sample count must be at least 1" in err
+    assert "sample count must be positive" in err
 
 
 def test_directory_operand_is_a_usage_error(tmp_path, capsys):

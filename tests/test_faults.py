@@ -152,6 +152,14 @@ def test_sampled_campaign_requires_seed():
         run_campaign(build_full_adder(), "flip", samples=10)
 
 
+def test_only_sampled_campaigns_report_their_seed():
+    fa = build_full_adder()
+    exhaustive = run_campaign(fa, "flip", seed=1)
+    assert exhaustive.seed is None and "seed" not in exhaustive.to_dict()
+    assert exhaustive == run_campaign(fa, "flip")
+    assert run_campaign(fa, "flip", samples=8, seed=1).to_dict()["seed"] == 1
+
+
 def test_sampled_campaign_is_deterministic():
     net = build_csa4()
     a = run_campaign(net, "flip", samples=64, seed=11)

@@ -35,13 +35,31 @@ def test_builder_output_is_valid():
     assert validate(build_full_adder()) == []
 
 
-def test_builder_rejects_fanout_at_construction():
+def _read_twice(nb):
+    nb.gate(F2G, ("a", "b", "k"), ("x", "y", "z"))
+    nb.gate(F2G, ("a", "x", "y"), ("u", "v", "w"))
+
+
+@pytest.mark.parametrize("mistake, named", [
+    (_read_twice, "[fanout] line 'a' feeds 2 sinks"),
+    (lambda nb: nb.gate(F2G, ("a", "ghost", "k"), ("x", "y", "z")),
+     "[order] gate 0 (F2G) reads 'ghost'"),
+    (lambda nb: nb.gate(MIG, ("a", "b", "k"), ("w", "x", "y", "z")),
+     "[width] gate 0 (MIG) has 3 inputs"),
+    (lambda nb: nb.input("a"), "[role] line 'a' defined more than once"),
+    (lambda nb: nb.const("c", 2), "[role] constant 'c' has polarity 2"),
+], ids=["read-twice", "undefined-input", "mig-arity", "defined-twice",
+        "polarity-2"])
+def test_builder_records_mistakes_and_finish_refuses_them(mistake, named):
     nb = NetlistBuilder("bad")
-    a, b = nb.input("a"), nb.input("b")
-    k = nb.const("k", 0)
-    nb.gate(F2G, (a, b, k), ("x", "y", "z"))
-    with pytest.raises(ValueError, match="fanout"):
-        nb.gate(F2G, (a, "x", "y"), ("u", "v", "w"))
+    nb.input("a")
+    nb.input("b")
+    nb.const("k", 0)
+    mistake(nb)  # recording never raises
+    with pytest.raises(NetlistError, match=re.escape(named)) as err:
+        nb.finish([])
+    # the derived garbage adds no sink of its own
+    assert ("[fanout]" in str(err.value)) == named.startswith("[fanout]")
 
 
 def test_fanout_violation():
