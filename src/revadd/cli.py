@@ -17,6 +17,7 @@ import json
 import os
 import re
 import sys
+from types import MappingProxyType
 
 from . import builders
 from .faults import FAULT_MODELS, run_campaign
@@ -52,18 +53,29 @@ def _load(target: str) -> Netlist:
     return parse_netlist(text)
 
 
-def _operand_groups(line_ids: list[str]) -> dict[str, list[tuple[int, str]]]:
-    """Group line ids into named operands: ``a0..a3`` -> operand ``a``;
-    an unindexed id like ``cin`` is a 1-bit operand of its own.
+_OPERAND_ID = re.compile(r"([A-Za-z_]+?)(\d+)?")
+
+
+@functools.lru_cache(maxsize=64)
+def _operand_groups(line_ids: tuple[str, ...]
+                    ) -> MappingProxyType[str, tuple[str, ...]]:
+    """Group line ids into named operands, each mapped to its ids from bit
+    0 up: ``a0..a3`` -> operand ``a``; an unindexed id like ``cin`` is a
+    1-bit operand of its own.
 
     Operand names match case-insensitively, so the ids of one operand must
     spell its name alike (``cin`` with ``Cin`` is refused), and a multi-bit
     operand's indices must be exactly ``0..w-1`` (``a0`` with ``a2`` is
     refused); a lone id keeps its index (``C2``).
+
+    The groups of the last 64 id tuples are kept, as read-only mappings of
+    tuples, so repeated requests on one design do not regroup its ids.  A
+    refused id set raises ``UsageError`` on every call, since a raising call
+    is not kept.
     """
     groups: dict[str, list[tuple[int, str]]] = {}
     for lid in line_ids:
-        m = re.fullmatch(r"([A-Za-z_]+?)(\d+)?", lid)
+        m = _OPERAND_ID.fullmatch(lid)
         if not m:
             groups.setdefault(lid.lower(), []).append((0, lid))
             continue
@@ -79,7 +91,8 @@ def _operand_groups(line_ids: list[str]) -> dict[str, list[tuple[int, str]]]:
         if len(bits) > 1 and [i for i, _ in bits] != list(range(len(bits))):
             raise UsageError(f"ids {ids} do not index operand {name!r} "
                              f"as bits 0..{len(bits) - 1}")
-    return groups
+    return MappingProxyType({name: tuple(lid for _, lid in bits)
+                             for name, bits in groups.items()})
 
 
 def _sample_count(text: str) -> int:
@@ -130,20 +143,20 @@ def _assign_inputs(net: Netlist, assignments: str) -> list[int]:
         if not 0 <= val < (1 << width):
             raise UsageError(f"operand {key!r} value {val} does not fit in "
                              f"{width} bit(s)")
-        for pos, (_, lid) in enumerate(groups[key]):
+        for pos, lid in enumerate(groups[key]):
             bits[lid] = (val >> pos) & 1
     return [bits[lid] for lid in net.inputs]
 
 
 def _format_outputs(net: Netlist, result) -> list[str]:
-    groups = _operand_groups([name for name, _ in net.outputs])
+    groups = _operand_groups(tuple(name for name, _ in net.outputs))
     lines = []
     for key, members in groups.items():
         val = 0
-        for pos, (_, name) in enumerate(members):
+        for pos, name in enumerate(members):
             val |= result.outputs[name] << pos
         width = len(members)
-        shown = members[0][1] if width == 1 else key.upper()
+        shown = members[0] if width == 1 else key.upper()
         if width > 1:
             lines.append(f"{shown} = 0x{val:0{(width + 3) // 4}X} "
                          f"(0b{val:0{width}b})")

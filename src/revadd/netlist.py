@@ -457,7 +457,8 @@ def _evaluate_exhaustive(net: Netlist):
     return total, masks, evaluate_lines(net, masks, (1 << total) - 1)
 
 
-_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+# binary digit -> 0 or 1 << j, for bit j of a byte
+_DIGIT_BITS = [bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8)]
 
 
 def _rows(masks, total: int):
@@ -472,7 +473,7 @@ def _rows(masks, total: int):
     if not masks:
         return repeat((), total)
     fmt = f"0{total}b"
-    return zip(*(format(m, fmt)[::-1].encode("ascii").translate(_BINARY_DIGITS)
+    return zip(*(format(m, fmt)[::-1].encode("ascii").translate(_DIGIT_BITS[0])
                  for m in masks))
 
 
@@ -542,18 +543,44 @@ def _sampled_parity(net: Netlist, samples: int, seed: int) -> bool:
     return _parity_conserved(net, values, one)
 
 
+_KEY_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # key bytes -> memoryview format
+
+
 def _injective(net: Netlist, total: int, values: dict) -> bool:
     """The boundary masks of an exhaustive evaluation over ``total`` vectors
     have ``total`` distinct rows.
 
-    Linear in the number of vectors times the boundary width: the boundary
-    masks are transposed once and the distinct rows counted.
+    Each vector's row is packed into one key of ``size`` bytes, with bit
+    ``j`` of key byte ``g`` holding boundary line ``8 * g + j``.  A mask is
+    written out once as a binary string (high bit first), each digit is
+    translated to 0 or ``1 << j``, and the eight columns of group ``g`` are
+    read as big-endian ints and ORed, so byte ``v`` of their little-endian
+    form is key byte ``g`` of vector ``v``; strided slice assignment
+    interleaves the groups into one buffer.  Keys of 1, 2, 4 or 8 bytes
+    (up to 64 lines, padded with zero bytes) are counted as the ints of a
+    memoryview cast, wider ones as ``bytes`` slices.  Every step is one
+    C-level pass over ``total`` bytes or digits, so the cost is linear in
+    the number of vectors times the boundary width.  With no boundary lines
+    every row is empty, and the map is injective iff ``total == 1``.
     """
     masks = [values[lid] for _, lid in net.outputs]
     masks += [values[lid] for lid in net.garbage]
-    # as bytes, the rows have the same distinct count as the int tuples
-    # in a fraction of the memory
-    return len(set(map(bytes, _rows(masks, total)))) == total
+    groups = (len(masks) + 7) // 8
+    size = next((s for s in _KEY_CODES if s >= groups), groups)
+    buf = bytearray(total * size)
+    fmt = f"0{total}b"
+    for g in range(groups):
+        column = 0
+        for table, m in zip(_DIGIT_BITS, masks[8 * g:8 * g + 8]):
+            column |= int.from_bytes(
+                format(m, fmt).encode("ascii").translate(table), "big")
+        buf[g::size] = column.to_bytes(total, "little")
+    if size in _KEY_CODES:
+        keys = memoryview(buf).cast(_KEY_CODES[size])
+    else:
+        flat = bytes(buf)
+        keys = (flat[i:i + size] for i in range(0, len(flat), size))
+    return len(set(keys)) == total
 
 
 def is_reversible_circuit(net: Netlist) -> bool:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gates import ARITY, GateKind
 from .netlist import GateInstance, Netlist, Violation, validate
@@ -31,6 +32,9 @@ from .netlist import GateInstance, Netlist, Violation, validate
 FORMAT_VERSION = 1
 _WRAP = 8  # ids per declaration line when serializing
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
+_TOKEN_RE = re.compile(r"\S+")
+_CONST_RE = re.compile(r"(.+)=([01])")
+_OUTPUT_RE = re.compile(r"(.+)=(.+)")
 
 
 @dataclass(frozen=True)
@@ -51,8 +55,7 @@ class NetlistParseError(ValueError):
         super().__init__("\n".join(str(d) for d in self.diagnostics))
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
     line: int
     col: int
@@ -64,7 +67,7 @@ def _tokenize(text: str) -> list[list[_Token]]:
         body = raw.split("#", 1)[0]
         toks = [
             _Token(m.group(0), lineno, m.start() + 1)
-            for m in re.finditer(r"\S+", body)
+            for m in _TOKEN_RE.finditer(body)
         ]
         if toks:
             rows.append(toks)
@@ -167,7 +170,7 @@ class _Parser:
         if len(toks) < 2:
             self.err(toks[0], "expected: const <id>=0|1 ...")
         for tok in toks[1:]:
-            m = re.fullmatch(r"(.+)=([01])", tok.text)
+            m = _CONST_RE.fullmatch(tok.text)
             if not m:
                 self.err(tok, f"malformed constant {tok.text!r} "
                               "(expected <id>=0 or <id>=1)")
@@ -213,7 +216,7 @@ class _Parser:
         if len(toks) < 2:
             self.err(toks[0], "expected: output <name>=<id> ...")
         for tok in toks[1:]:
-            m = re.fullmatch(r"(.+)=(.+)", tok.text)
+            m = _OUTPUT_RE.fullmatch(tok.text)
             if not m:
                 self.err(tok, f"malformed output {tok.text!r} "
                               "(expected <name>=<id>)")

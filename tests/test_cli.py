@@ -5,7 +5,7 @@ import json
 import pytest
 
 from helpers import pg_full_adder
-from revadd import build_design, netlist, parse_netlist, serialize
+from revadd import build_design, cli, netlist, parse_netlist, serialize
 from revadd.cli import main
 from revadd.faults import FAULT_MODELS
 
@@ -306,3 +306,18 @@ def test_sim_accepts_every_built_in_design(capsys, design):
     code, out, _ = run(capsys, "sim", design, "--inputs",
                        ",".join(f"{op}=0" for op in sorted(ops)))
     assert code == 0 and "garbage = " in out
+
+
+def test_operand_groups_are_kept_read_only_and_refusals_repeat(tmp_path,
+                                                               capsys):
+    groups = cli._operand_groups(("a0", "a1", "cin"))
+    assert cli._operand_groups(("a0", "a1", "cin")) is groups
+    assert dict(groups) == {"a": ("a0", "a1"), "cin": ("cin",)}
+    with pytest.raises(TypeError):
+        groups["a"] = ("a1", "a0")
+    # a refused id set is not kept, so each request is refused again
+    path = _wires(tmp_path, ["a0", "a2"])
+    for _ in range(2):
+        code, out, err = run(capsys, "sim", path, "--inputs", "A=0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ids a0, a2 do not index operand 'a'")

@@ -470,6 +470,72 @@ def test_reversibility_check_can_fail(monkeypatch):
     assert truth_table(fa) == reference_truth_table(fa)
 
 
+# boundary widths on each side of every key size _injective packs to
+# (1, 2, 4 and 8 bytes, then bytes slices above 64 lines)
+KEY_WIDTHS = [0, 1, 8, 9, 16, 17, 32, 33, 64, 65, 72]
+
+
+def _wide_net(width: int) -> Netlist:
+    """A netlist with ``width`` boundary lines: up to four inputs, the rest
+    constants, an FG gate on the first two inputs, the first half of the
+    lines named outputs and the rest garbage."""
+    nb = NetlistBuilder(f"wide{width}")
+    lines = [nb.input(f"w{i}") for i in range(min(width, 4))]
+    lines += [nb.const(f"k{i}", i % 2) for i in range(width - len(lines))]
+    if width >= 2:
+        lines[:2] = nb.gate(GateKind.FG, lines[:2], ("x0", "x1"))
+    return nb.finish([(f"O{i}", lid) for i, lid in enumerate(lines)
+                      if i < width // 2])
+
+
+def _injective_on_rows(net: Netlist, rows) -> bool:
+    """``netlist._injective`` over vectors whose boundary rows are given:
+    bit v of boundary line i's mask is ``rows[v][i]``."""
+    lids = [lid for _, lid in net.outputs] + list(net.garbage)
+    values = {lid: sum(row[i] << v for v, row in enumerate(rows))
+              for i, lid in enumerate(lids)}
+    return netlist._injective(net, len(rows), values)
+
+
+@pytest.mark.parametrize("width", KEY_WIDTHS)
+def test_injective_agrees_with_a_set_of_rows_at_every_key_size(width):
+    net = _wide_net(width)
+    assert net.boundary_out_width() == width
+    assert is_reversible_circuit(net) is reference_is_reversible(net) is True
+    rng = Random(width)
+
+    def row():
+        return tuple(rng.getrandbits(1) for _ in range(width))
+
+    def agrees(rows):
+        verdict = _injective_on_rows(net, rows)
+        assert verdict is (len(set(rows)) == len(rows)), rows
+        return verdict
+
+    rows = sorted({row() for _ in range(12)})
+    assert agrees(rows)
+    assert not agrees(rows + [rows[len(rows) // 2]])  # exactly two collide
+    agrees([row() for _ in range(40)])
+    # two vectors told apart only by the last line of one key byte, for
+    # every byte up to the last line of the highest one: a key that
+    # dropped any byte would merge them
+    for col in sorted({min(c, width - 1) for c in range(7, width + 7, 8)}):
+        a = row()
+        b = a[:col] + (1 - a[col],) + a[col + 1:]
+        assert agrees([a, b])
+
+
+@pytest.mark.parametrize("width", [w for w in KEY_WIDTHS if w >= 2])
+def test_reversibility_check_fails_at_every_key_size(monkeypatch, width):
+    # widths 0 and 1 have no room for a gate (the narrowest, FG, has two
+    # lines); here FG drops its second line, merging vectors that differ
+    # only in input w1
+    net = _wide_net(width)
+    monkeypatch.setitem(gates.EVAL, GateKind.FG, lambda v, one: (v[0], 0))
+    assert reference_is_reversible(net) is False
+    assert is_reversible_circuit(net) is False
+
+
 def test_metrics_full_adder_and_zero_case():
     m = metrics(build_full_adder())
     assert m.gate_count_by_kind == {"MIG": 2}

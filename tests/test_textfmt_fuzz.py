@@ -1,0 +1,98 @@
+"""Parser fuzzing: any text either parses or fails with positioned
+diagnostics, and layout that keeps every column leaves them unchanged."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from revadd import (GateKind, Netlist, NetlistParseError,  # noqa: E402
+                    parse_netlist)
+
+fuzz = settings(max_examples=150, deadline=None, database=None)
+
+# statement keywords, gate kinds and token shapes the grammar knows, so that
+# many generated lines get past the first check of their statement
+WORDS = ["netlist", "version", "1", "9", "input", "const", "gate", "output",
+         "garbage", "<-", "=", "a", "b", "k", "x", "y", "z", "k=0", "k=1",
+         "k=2", "O=a", "O=x", "P=y", "=a", "O=", "1a", "a.b", "_"]
+WORDS += [k.value for k in GateKind]
+
+token = st.one_of(
+    st.sampled_from(WORDS),
+    st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E),
+            min_size=1, max_size=6))
+gap = st.sampled_from([" ", "\t", "  ", " \t "])
+comment = st.sampled_from(["", "#", " # note", "\t#x <- y", "#gate FG a"])
+line = st.builds(lambda toks, sep, tail: sep.join(toks) + tail,
+                 st.lists(token, max_size=8), gap, comment)
+document = st.builds(lambda lines, eol: "".join(ln + eol for ln in lines),
+                     st.lists(line, max_size=12),
+                     st.sampled_from(["\n", "\r\n"]))
+
+
+def _outcome(text):
+    """The parsed netlist, or the diagnostics as (line, col, message)."""
+    try:
+        return parse_netlist(text)
+    except NetlistParseError as exc:
+        assert exc.diagnostics
+        return [(d.line, d.col, d.message) for d in exc.diagnostics]
+
+
+@fuzz
+@given(st.one_of(document, st.text(max_size=200)))
+def test_arbitrary_text_fails_only_with_positioned_diagnostics(text):
+    outcome = _outcome(text)
+    if not isinstance(outcome, Netlist):
+        lines = max(1, len(text.splitlines()))
+        for lineno, col, message in outcome:
+            assert 1 <= lineno <= lines and col >= 1 and message
+
+
+# the bad documents of test_textfmt.py, one per diagnostic class
+BAD_DOCUMENTS = [
+    "netlist t\nversion 1\ninput a b c\ngate XYZ x y z <- a b c\n"
+    "output O=x P=y Q=z\n",
+    "netlist t\nversion 1\ninput a b\ninput a\noutput O=a P=b Q=a\n",
+    "netlist t\nversion 1\ninput a b\noutput S=a S=b\n",
+    "netlist t\nversion 1\ninput a b\ngate F2G x y <- a b\noutput O=x P=y\n",
+    "netlist t\nversion 1\ninput a\nconst k0=0 k1=0 k2=0 k3=0\n"
+    "gate F2G x y z <- a k0 k1\ngate F2G u v w <- a k2 k3\n"
+    "output O=x P=y\ngarbage z u v w\n",
+    "netlist t\nversion 1\ninput a b\noutput O=a\n",
+    "netlist t\nversion 1\ninput a\noutput O=ghost\ngarbage a phantom\n",
+    "input a\noutput O=a\n",
+    "netlist t\nversion 1\nconst k=2\n",
+    "netlist t\nversion 9\n",
+    "netlist t\nversion 1\nwire a\n",
+    "netlist t\nversion 1\ninput a b\ngate FG x y a b\noutput O=x P=y\n",
+    "netlist t\nversion 1\ninput a b c\noutput O=a P=b Q=c R=a\n",
+    "gate\n",
+    "netlist\nversion 1\n",
+    "netlist t\nversion 1\ninput\n",
+    "netlist t\nversion 1\noutput bad\n",
+    "netlist t\nversion 1\ngarbage\n",
+    "nonsense here\n",
+    "netlist t\nversion 1\ninput a\nconst k0=0 k1=0 k2=0 k3=0\n"
+    "gate F2G x y z <- late k0 k1\ngate F2G late p q <- a k2 k3\n"
+    "output O=x\ngarbage y z p q\n",
+    "netlist t\nversion 1\nnetlist u\ninput a\noutput O=a\n",
+]
+
+
+@fuzz
+@given(doc=st.sampled_from(BAD_DOCUMENTS), data=st.data())
+def test_layout_that_keeps_columns_keeps_the_diagnostics(doc, data):
+    want = _outcome(doc)
+    assert not isinstance(want, Netlist)
+    lines = doc.splitlines()
+    # a tab for a space is one character as well, and a comment or
+    # trailing blanks after a statement move no token
+    lines = [data.draw(st.sampled_from([ln, ln.replace(" ", "\t")]))
+             + data.draw(st.sampled_from(["", " ", "\t", "  # note",
+                                          "#a <- b"]))
+             for ln in lines]
+    eol = data.draw(st.sampled_from(["\n", "\r\n"]))
+    assert _outcome("".join(ln + eol for ln in lines)) == want
