@@ -33,6 +33,11 @@ class GateKind(Enum):
     IG = "IG"    # parity-preserving Peres extension
     MIG = "MIG"  # IG with the fourth output re-expressed at lower cost
 
+    # members are singletons compared by identity, so the C-level identity
+    # hash is consistent with equality and spares every ARITY/EVAL lookup
+    # the Python-level Enum.__hash__
+    __hash__ = object.__hash__
+
 
 ARITY: dict[GateKind, int] = {
     GateKind.FG: 2,

@@ -5,7 +5,9 @@ exactly one source (primary input, constant, or a gate output) and at most
 one sink (a gate input); source lines that no gate consumes must be declared
 either as named primary outputs or as garbage.  Equal boundary width
 (inputs + constants == outputs + garbage) then follows from gates having as
-many outputs as inputs, and is re-checked by :func:`validate`.
+many outputs as inputs; :func:`validate` re-checks it only when every other
+check passed, so a mismatch is never reported beside the violation that
+causes it.
 
 Simulation is word-parallel: every line carries a Python integer used as a
 bitmask with one bit per test vector, and the gate expressions from
@@ -330,7 +332,9 @@ def _find_violations(net: Netlist) -> tuple[Violation, ...]:
             v.append(Violation("role", f"output name {name!r} declared more "
                                f"than once (again for line {lid!r})", (lid,)))
         names.add(name)
-    if net.boundary_in_width() != net.boundary_out_width():
+    # with square gates a mismatch implies one of the per-line violations
+    # above, so it is checked only when there is none
+    if not v and net.boundary_in_width() != net.boundary_out_width():
         v.append(Violation(
             "width", f"boundary width mismatch: {net.boundary_in_width()} "
             f"inputs+constants vs {net.boundary_out_width()} outputs+garbage"))

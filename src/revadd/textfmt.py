@@ -1,6 +1,8 @@
 """Line-oriented text format for netlists: parser and canonical serializer.
 
-Grammar (``#`` starts a comment, tokens are whitespace-separated ASCII):
+Grammar (``#`` starts a comment; a line ends at ``\\n``, so CRLF is
+accepted; any other whitespace separates tokens, and a column counts
+characters):
 
     netlist <name>
     version 1
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .gates import ARITY, GateKind
 from .netlist import GateInstance, Netlist, Violation, validate
@@ -35,6 +36,7 @@ _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 _TOKEN_RE = re.compile(r"\S+")
 _CONST_RE = re.compile(r"(.+)=([01])")
 _OUTPUT_RE = re.compile(r"(.+)=(.+)")
+_KINDS = {k.value: k for k in GateKind}
 
 
 @dataclass(frozen=True)
@@ -55,67 +57,64 @@ class NetlistParseError(ValueError):
         super().__init__("\n".join(str(d) for d in self.diagnostics))
 
 
-class _Token(NamedTuple):
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[list[_Token]]:
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        toks = [
-            _Token(m.group(0), lineno, m.start() + 1)
-            for m in _TOKEN_RE.finditer(body)
-        ]
-        if toks:
-            rows.append(toks)
-    return rows
-
-
 class _Parser:
+    """One pass over the words of each line.  A source position is kept as
+    a ``(line number, word index)`` reference and turned into a column only
+    when a diagnostic needs it."""
+
     def __init__(self, text: str):
-        self.rows = _tokenize(text)
+        self.lines = text.split("\n")
         self.diags: list[Diagnostic] = []
         self.name: str | None = None
-        self.header: _Token | None = None
+        self.header: tuple[int, int] | None = None
         self.version_seen = False
         self.inputs: list[str] = []
         self.constants: list[tuple[str, int]] = []
         self.gates: list[GateInstance] = []
         self.outputs: list[tuple[str, str]] = []
         self.garbage: list[str] = []
-        self.defs: dict[str, _Token] = {}    # line id -> defining token
-        self.sinks: dict[str, list[_Token]] = {}
-        self.out_names: dict[str, _Token] = {}
+        self.defs: dict[str, tuple[int, int]] = {}  # line id -> definition
+        self.sinks: dict[str, list[tuple[int, int]]] = {}
+        self.out_names: dict[str, tuple[int, int]] = {}
 
-    def err(self, tok: _Token, message: str):
-        self.diags.append(Diagnostic(tok.line, tok.col, message))
+    def at(self, ref: tuple[int, int]) -> tuple[int, int]:
+        """The 1-based ``(line, column)`` of a word reference, found by
+        scanning its line again."""
+        row, k = ref
+        body = self.lines[row - 1].split("#", 1)[0]
+        return row, list(_TOKEN_RE.finditer(body))[k].start() + 1
 
-    def define(self, tok: _Token, lid: str):
+    def where(self, ref: tuple[int, int]) -> str:
+        return "%d:%d" % self.at(ref)
+
+    def err(self, ref: tuple[int, int], message: str):
+        self.diags.append(Diagnostic(*self.at(ref), message))
+
+    def define(self, ref: tuple[int, int], lid: str):
         if not _ID_RE.fullmatch(lid):
-            self.err(tok, f"invalid line id {lid!r}")
-            return
-        if lid in self.defs:
-            prev = self.defs[lid]
-            self.err(tok, f"line {lid!r} redeclared "
-                          f"(first declared at {prev.line}:{prev.col})")
-            return
-        self.defs[lid] = tok
+            self.err(ref, f"invalid line id {lid!r}")
+        elif lid in self.defs:
+            self.err(ref, f"line {lid!r} redeclared "
+                          f"(first declared at {self.where(self.defs[lid])})")
+        else:
+            self.defs[lid] = ref
 
-    def consume(self, tok: _Token, lid: str):
-        self.sinks.setdefault(lid, []).append(tok)
+    def consume(self, ref: tuple[int, int], lid: str):
+        self.sinks.setdefault(lid, []).append(ref)
 
     def parse(self) -> Netlist:
-        for toks in self.rows:
-            head = toks[0]
-            handler = getattr(self, f"_stmt_{head.text}", None)
-            if handler is None:
-                self.err(head, f"unknown statement {head.text!r} (expected "
-                               "netlist/version/input/const/gate/output/garbage)")
+        for row, raw in enumerate(self.lines, start=1):
+            # str.split() and _TOKEN_RE agree on whitespace, which includes
+            # the "\r" of a CRLF line end
+            words = raw.split("#", 1)[0].split()
+            if not words:
                 continue
-            handler(toks)
+            handler = _STATEMENTS.get(words[0])
+            if handler is None:
+                self.err((row, 0), f"unknown statement {words[0]!r} (expected "
+                         "netlist/version/input/const/gate/output/garbage)")
+                continue
+            handler(self, row, words)
         if self.header is None:
             self.diags.append(Diagnostic(1, 1, "missing 'netlist <name>' header"))
         if not self.version_seen:
@@ -134,109 +133,109 @@ class _Parser:
         that line's definition, else at 1:1."""
         lid = v.lines[0] if v.lines else None
         sinks = self.sinks.get(lid, [])
-        tok = sinks[0] if sinks else self.defs.get(lid, _Token("", 1, 1))
+        ref = sinks[0] if sinks else self.defs.get(lid)
         message = str(v)
         if len(sinks) > 1:
-            message += f" (at {', '.join(f'{t.line}:{t.col}' for t in sinks)})"
-        return Diagnostic(tok.line, tok.col, message)
+            message += f" (at {', '.join(map(self.where, sinks))})"
+        return Diagnostic(*(self.at(ref) if ref else (1, 1)), message)
 
-    def _stmt_netlist(self, toks):
+    def _stmt_netlist(self, row, words):
         if self.header is not None:
-            self.err(toks[0], "netlist header redeclared (first at "
-                              f"{self.header.line}:{self.header.col})")
+            self.err((row, 0), "netlist header redeclared "
+                               f"(first at {self.where(self.header)})")
             return
-        self.header = toks[0]
-        if len(toks) != 2:
-            self.err(toks[0], "expected: netlist <name>")
+        self.header = (row, 0)
+        if len(words) != 2:
+            self.err((row, 0), "expected: netlist <name>")
             return
-        self.name = toks[1].text
+        self.name = words[1]
 
-    def _stmt_version(self, toks):
+    def _stmt_version(self, row, words):
         self.version_seen = True
-        if len(toks) != 2 or toks[1].text != str(FORMAT_VERSION):
-            tok = toks[1] if len(toks) > 1 else toks[0]
-            found = toks[1].text if len(toks) > 1 else "nothing"
-            self.err(tok, f"unsupported format version {found!r} "
-                          f"(expected {FORMAT_VERSION})")
+        if len(words) != 2 or words[1] != str(FORMAT_VERSION):
+            found = words[1] if len(words) > 1 else "nothing"
+            self.err((row, min(1, len(words) - 1)),
+                     f"unsupported format version {found!r} "
+                     f"(expected {FORMAT_VERSION})")
 
-    def _stmt_input(self, toks):
-        if len(toks) < 2:
-            self.err(toks[0], "expected: input <id> ...")
-        for tok in toks[1:]:
-            self.define(tok, tok.text)
-            self.inputs.append(tok.text)
+    def _stmt_input(self, row, words):
+        if len(words) < 2:
+            self.err((row, 0), "expected: input <id> ...")
+        for k in range(1, len(words)):
+            self.define((row, k), words[k])
+        self.inputs += words[1:]
 
-    def _stmt_const(self, toks):
-        if len(toks) < 2:
-            self.err(toks[0], "expected: const <id>=0|1 ...")
-        for tok in toks[1:]:
-            m = _CONST_RE.fullmatch(tok.text)
+    def _stmt_const(self, row, words):
+        if len(words) < 2:
+            self.err((row, 0), "expected: const <id>=0|1 ...")
+        for k in range(1, len(words)):
+            m = _CONST_RE.fullmatch(words[k])
             if not m:
-                self.err(tok, f"malformed constant {tok.text!r} "
-                              "(expected <id>=0 or <id>=1)")
+                self.err((row, k), f"malformed constant {words[k]!r} "
+                                   "(expected <id>=0 or <id>=1)")
                 continue
-            self.define(tok, m.group(1))
+            self.define((row, k), m.group(1))
             self.constants.append((m.group(1), int(m.group(2))))
 
-    def _stmt_gate(self, toks):
-        if len(toks) < 4:
-            self.err(toks[0], "expected: gate <KIND> <outs...> <- <ins...>")
+    def _stmt_gate(self, row, words):
+        if len(words) < 4:
+            self.err((row, 0), "expected: gate <KIND> <outs...> <- <ins...>")
             return
-        ktok = toks[1]
-        try:
-            kind = GateKind(ktok.text)
-        except ValueError:
-            self.err(ktok, f"unknown gate kind {ktok.text!r} (expected one "
-                           f"of {', '.join(k.value for k in GateKind)})")
+        kind = _KINDS.get(words[1])
+        if kind is None:
+            self.err((row, 1), f"unknown gate kind {words[1]!r} (expected one "
+                               f"of {', '.join(_KINDS)})")
             return
-        arrow = [i for i, t in enumerate(toks) if t.text == "<-"]
-        if len(arrow) != 1:
-            self.err(toks[0], "gate statement needs exactly one '<-' "
-                              "between outputs and inputs")
+        if words.count("<-") != 1:
+            self.err((row, 0), "gate statement needs exactly one '<-' "
+                               "between outputs and inputs")
             return
-        outs = toks[2:arrow[0]]
-        ins = toks[arrow[0] + 1:]
-        n = ARITY[kind]
-        if len(outs) != n or len(ins) != n:
-            self.err(ktok, f"{kind.value} gate has arity {n}, got "
-                           f"{len(outs)} outputs and {len(ins)} inputs")
+        arrow = words.index("<-")
+        n, n_out, n_in = ARITY[kind], arrow - 2, len(words) - arrow - 1
+        if n_out != n or n_in != n:
+            self.err((row, 1), f"{kind.value} gate has arity {n}, got "
+                               f"{n_out} outputs and {n_in} inputs")
             return
-        for tok in ins:
-            if tok.text not in self.defs:
-                self.err(tok, f"gate input {tok.text!r} is not defined by any "
-                              "earlier input/const/gate statement")
-            self.consume(tok, tok.text)
-        for tok in outs:
-            self.define(tok, tok.text)
-        self.gates.append(GateInstance(kind,
-                                       tuple(t.text for t in ins),
-                                       tuple(t.text for t in outs)))
+        for k in range(arrow + 1, len(words)):
+            if words[k] not in self.defs:
+                self.err((row, k), f"gate input {words[k]!r} is not defined "
+                                   "by any earlier input/const/gate statement")
+            self.consume((row, k), words[k])
+        for k in range(2, arrow):
+            self.define((row, k), words[k])
+        self.gates.append(GateInstance(kind, tuple(words[arrow + 1:]),
+                                       tuple(words[2:arrow])))
 
-    def _stmt_output(self, toks):
-        if len(toks) < 2:
-            self.err(toks[0], "expected: output <name>=<id> ...")
-        for tok in toks[1:]:
-            m = _OUTPUT_RE.fullmatch(tok.text)
+    def _stmt_output(self, row, words):
+        if len(words) < 2:
+            self.err((row, 0), "expected: output <name>=<id> ...")
+        for k in range(1, len(words)):
+            m = _OUTPUT_RE.fullmatch(words[k])
             if not m:
-                self.err(tok, f"malformed output {tok.text!r} "
-                              "(expected <name>=<id>)")
+                self.err((row, k), f"malformed output {words[k]!r} "
+                                   "(expected <name>=<id>)")
                 continue
             name, lid = m.group(1), m.group(2)
             if name in self.out_names:
-                prev = self.out_names[name]
-                self.err(tok, f"output name {name!r} redeclared "
-                              f"(first at {prev.line}:{prev.col})")
+                self.err((row, k), f"output name {name!r} redeclared "
+                         f"(first at {self.where(self.out_names[name])})")
                 continue
-            self.out_names[name] = tok
+            self.out_names[name] = (row, k)
             self.outputs.append((name, lid))
-            self.consume(tok, lid)
+            self.consume((row, k), lid)
 
-    def _stmt_garbage(self, toks):
-        if len(toks) < 2:
-            self.err(toks[0], "expected: garbage <id> ...")
-        for tok in toks[1:]:
-            self.garbage.append(tok.text)
-            self.consume(tok, tok.text)
+    def _stmt_garbage(self, row, words):
+        if len(words) < 2:
+            self.err((row, 0), "expected: garbage <id> ...")
+        for k in range(1, len(words)):
+            self.garbage.append(words[k])
+            self.consume((row, k), words[k])
+
+
+# statement keyword -> handler
+_STATEMENTS = {name.removeprefix("_stmt_"): fn
+               for name, fn in vars(_Parser).items()
+               if name.startswith("_stmt_")}
 
 
 def parse_netlist(text: str) -> Netlist:

@@ -1,12 +1,15 @@
 """Shared test utilities: bit packing, oracles, and small fixture netlists."""
 
+import re
 from random import Random
+from typing import NamedTuple
 
 from revadd import (ARITY, PARITY_PRESERVING_KINDS, CampaignReport,
                     GateInstance, GateKind, Netlist, NetlistBuilder,
                     Violation, truth_table)
 from revadd.gates import EVAL
-from revadd.netlist import FAULT_TRANSFORMS, variable_masks
+from revadd.netlist import FAULT_TRANSFORMS, variable_masks, validate
+from revadd.textfmt import FORMAT_VERSION, Diagnostic, NetlistParseError
 
 
 def int_to_bits(value: int, width: int) -> list[int]:
@@ -150,7 +153,7 @@ def reference_validate(net: Netlist) -> list[Violation]:
         both = sorted(out_set & set(net.garbage))
         v.append(Violation("role", f"lines declared both output and garbage: "
                            f"{', '.join(both)}", tuple(both)))
-    if net.boundary_in_width() != net.boundary_out_width():
+    if not v and net.boundary_in_width() != net.boundary_out_width():
         v.append(Violation(
             "width", f"boundary width mismatch: {net.boundary_in_width()} "
             f"inputs+constants vs {net.boundary_out_width()} outputs+garbage"))
@@ -264,3 +267,203 @@ def reference_campaign(net: Netlist, model: str = "flip", samples=None,
     return CampaignReport(net.name, model, len(lines), nvec, detected, silent,
                           corrupting, coverage, prim_seen, prim_missed,
                           seed=seed).to_dict()
+
+
+class _Token(NamedTuple):
+    text: str
+    line: int
+    col: int
+
+
+_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
+_TOKEN_RE = re.compile(r"\S+")
+_CONST_RE = re.compile(r"(.+)=([01])")
+_OUTPUT_RE = re.compile(r"(.+)=(.+)")
+
+
+def _tokenize(text: str) -> list[list[_Token]]:
+    rows = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        if raw.endswith("\r"):
+            raw = raw[:-1]
+        body = raw.split("#", 1)[0]
+        toks = [
+            _Token(m.group(0), lineno, m.start() + 1)
+            for m in _TOKEN_RE.finditer(body)
+        ]
+        if toks:
+            rows.append(toks)
+    return rows
+
+
+class _ReferenceParser:
+    """Token-object parser: every token carries its own line and column."""
+
+    def __init__(self, text: str):
+        self.rows = _tokenize(text)
+        self.diags: list[Diagnostic] = []
+        self.name: str | None = None
+        self.header: _Token | None = None
+        self.version_seen = False
+        self.inputs: list[str] = []
+        self.constants: list[tuple[str, int]] = []
+        self.gates: list[GateInstance] = []
+        self.outputs: list[tuple[str, str]] = []
+        self.garbage: list[str] = []
+        self.defs: dict[str, _Token] = {}    # line id -> defining token
+        self.sinks: dict[str, list[_Token]] = {}
+        self.out_names: dict[str, _Token] = {}
+
+    def err(self, tok: _Token, message: str):
+        self.diags.append(Diagnostic(tok.line, tok.col, message))
+
+    def define(self, tok: _Token, lid: str):
+        if not _ID_RE.fullmatch(lid):
+            self.err(tok, f"invalid line id {lid!r}")
+            return
+        if lid in self.defs:
+            prev = self.defs[lid]
+            self.err(tok, f"line {lid!r} redeclared "
+                          f"(first declared at {prev.line}:{prev.col})")
+            return
+        self.defs[lid] = tok
+
+    def consume(self, tok: _Token, lid: str):
+        self.sinks.setdefault(lid, []).append(tok)
+
+    def parse(self) -> Netlist:
+        for toks in self.rows:
+            head = toks[0]
+            handler = getattr(self, f"_stmt_{head.text}", None)
+            if handler is None:
+                self.err(head, f"unknown statement {head.text!r} (expected "
+                               "netlist/version/input/const/gate/output/garbage)")
+                continue
+            handler(toks)
+        if self.header is None:
+            self.diags.append(Diagnostic(1, 1, "missing 'netlist <name>' header"))
+        if not self.version_seen:
+            self.diags.append(Diagnostic(1, 1, "missing 'version 1' header"))
+        if self.diags:
+            raise NetlistParseError(self.diags)
+        net = Netlist(self.name, self.inputs, self.constants, self.gates,
+                      self.outputs, self.garbage)
+        problems = validate(net)
+        if problems:
+            raise NetlistParseError(map(self._place, problems))
+        return net
+
+    def _place(self, v: Violation) -> Diagnostic:
+        lid = v.lines[0] if v.lines else None
+        sinks = self.sinks.get(lid, [])
+        tok = sinks[0] if sinks else self.defs.get(lid, _Token("", 1, 1))
+        message = str(v)
+        if len(sinks) > 1:
+            message += f" (at {', '.join(f'{t.line}:{t.col}' for t in sinks)})"
+        return Diagnostic(tok.line, tok.col, message)
+
+    def _stmt_netlist(self, toks):
+        if self.header is not None:
+            self.err(toks[0], "netlist header redeclared (first at "
+                              f"{self.header.line}:{self.header.col})")
+            return
+        self.header = toks[0]
+        if len(toks) != 2:
+            self.err(toks[0], "expected: netlist <name>")
+            return
+        self.name = toks[1].text
+
+    def _stmt_version(self, toks):
+        self.version_seen = True
+        if len(toks) != 2 or toks[1].text != str(FORMAT_VERSION):
+            tok = toks[1] if len(toks) > 1 else toks[0]
+            found = toks[1].text if len(toks) > 1 else "nothing"
+            self.err(tok, f"unsupported format version {found!r} "
+                          f"(expected {FORMAT_VERSION})")
+
+    def _stmt_input(self, toks):
+        if len(toks) < 2:
+            self.err(toks[0], "expected: input <id> ...")
+        for tok in toks[1:]:
+            self.define(tok, tok.text)
+            self.inputs.append(tok.text)
+
+    def _stmt_const(self, toks):
+        if len(toks) < 2:
+            self.err(toks[0], "expected: const <id>=0|1 ...")
+        for tok in toks[1:]:
+            m = _CONST_RE.fullmatch(tok.text)
+            if not m:
+                self.err(tok, f"malformed constant {tok.text!r} "
+                              "(expected <id>=0 or <id>=1)")
+                continue
+            self.define(tok, m.group(1))
+            self.constants.append((m.group(1), int(m.group(2))))
+
+    def _stmt_gate(self, toks):
+        if len(toks) < 4:
+            self.err(toks[0], "expected: gate <KIND> <outs...> <- <ins...>")
+            return
+        ktok = toks[1]
+        try:
+            kind = GateKind(ktok.text)
+        except ValueError:
+            self.err(ktok, f"unknown gate kind {ktok.text!r} (expected one "
+                           f"of {', '.join(k.value for k in GateKind)})")
+            return
+        arrow = [i for i, t in enumerate(toks) if t.text == "<-"]
+        if len(arrow) != 1:
+            self.err(toks[0], "gate statement needs exactly one '<-' "
+                              "between outputs and inputs")
+            return
+        outs = toks[2:arrow[0]]
+        ins = toks[arrow[0] + 1:]
+        n = ARITY[kind]
+        if len(outs) != n or len(ins) != n:
+            self.err(ktok, f"{kind.value} gate has arity {n}, got "
+                           f"{len(outs)} outputs and {len(ins)} inputs")
+            return
+        for tok in ins:
+            if tok.text not in self.defs:
+                self.err(tok, f"gate input {tok.text!r} is not defined by any "
+                              "earlier input/const/gate statement")
+            self.consume(tok, tok.text)
+        for tok in outs:
+            self.define(tok, tok.text)
+        self.gates.append(GateInstance(kind,
+                                       tuple(t.text for t in ins),
+                                       tuple(t.text for t in outs)))
+
+    def _stmt_output(self, toks):
+        if len(toks) < 2:
+            self.err(toks[0], "expected: output <name>=<id> ...")
+        for tok in toks[1:]:
+            m = _OUTPUT_RE.fullmatch(tok.text)
+            if not m:
+                self.err(tok, f"malformed output {tok.text!r} "
+                              "(expected <name>=<id>)")
+                continue
+            name, lid = m.group(1), m.group(2)
+            if name in self.out_names:
+                prev = self.out_names[name]
+                self.err(tok, f"output name {name!r} redeclared "
+                              f"(first at {prev.line}:{prev.col})")
+                continue
+            self.out_names[name] = tok
+            self.outputs.append((name, lid))
+            self.consume(tok, lid)
+
+    def _stmt_garbage(self, toks):
+        if len(toks) < 2:
+            self.err(toks[0], "expected: garbage <id> ...")
+        for tok in toks[1:]:
+            self.garbage.append(tok.text)
+            self.consume(tok, tok.text)
+
+
+def reference_parse_netlist(text: str) -> Netlist:
+    """Token-object oracle for :func:`revadd.parse_netlist`: tokenizes every
+    line up front into ``(text, line, column)`` tuples and reads positions
+    off them, where the parser keeps word references and finds a column
+    only for a diagnostic."""
+    return _ReferenceParser(text).parse()

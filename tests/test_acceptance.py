@@ -155,9 +155,16 @@ def test_criterion_7_structural_suite():
                   [("O", "u")], ["z", "v", "w"])
     ok &= "fanout" in {v.category for v in validate(fan)}
 
+    # a boundary-width mismatch is reported through its per-line cause
     skew = Netlist("skew", ["a", "b", "c"], [], [],
                    [("O0", "a"), ("O1", "b")], [])
-    ok &= "width" in {v.category for v in validate(skew)}
+    ok &= {v.category for v in validate(skew)} == {"dangling"}
+
+    arity = Netlist("arity", ["a", "b"], [("k0", 0)],
+                    [GateInstance(GateKind.MIG, ("a", "b", "k0"),
+                                  ("w", "x", "y", "z"))],
+                    [("O", "w")], ["x", "y", "z"])
+    ok &= "width" in {v.category for v in validate(arity)}
     report("7 structural suite", ok)
 
 

@@ -1,9 +1,13 @@
 """Netlist text format: round trips, byte stability, positioned diagnostics."""
 
+import sys
+
 import pytest
 
+from helpers import reference_parse_netlist
 from revadd import (NetlistParseError, build_design, build_full_adder,
                     metrics, parse_netlist, serialize, truth_table, validate)
+from revadd.textfmt import _TOKEN_RE
 
 ALL_DESIGNS = ["fa", "rca:4", "cla2", "csa4", "hsa16"]
 
@@ -52,8 +56,12 @@ def test_comments_and_blank_lines_accepted():
 
 
 def diags_of(text):
+    """The parser's diagnostics, checked against the reference parser's."""
     with pytest.raises(NetlistParseError) as err:
         parse_netlist(text)
+    with pytest.raises(NetlistParseError) as ref:
+        reference_parse_netlist(text)
+    assert err.value.diagnostics == ref.value.diagnostics
     return err.value.diagnostics
 
 
@@ -178,17 +186,15 @@ def test_redeclared_output_name_is_the_only_diagnostic():
 
 def test_structural_diagnostics_are_placed_violations():
     fan = "netlist t\nversion 1\ninput a b c\noutput O=a P=b Q=c R=a\n"
+    # the boundary widths differ too, but that follows from the per-line
+    # violation and is not reported beside it
     assert [(d.line, d.col, d.message) for d in diags_of(fan)] == [
         (4, 8, "[fanout] line 'a' feeds 2 sinks: output O, output R "
-               "(at 4:8, 4:20)"),
-        (1, 1, "[width] boundary width mismatch: 3 inputs+constants vs "
-               "4 outputs+garbage")]
+               "(at 4:8, 4:20)")]
     dangling = "netlist t\nversion 1\ninput a b\noutput O=a\n"
     assert [(d.line, d.col, d.message) for d in diags_of(dangling)] == [
         (3, 9, "[dangling] line 'b' has no sink; it must be consumed, a "
-               "primary output, or garbage"),
-        (1, 1, "[width] boundary width mismatch: 2 inputs+constants vs "
-               "1 outputs+garbage")]
+               "primary output, or garbage")]
 
 
 @pytest.mark.parametrize("text, expected", [
@@ -199,3 +205,35 @@ def test_structural_diagnostics_are_placed_violations():
 def test_malformed_header_is_reported_once(text, expected):
     # the header statement is present, so it is not also "missing"
     assert [(d.line, d.col, d.message) for d in diags_of(text)] == [expected]
+
+
+LINE_BREAKS_OF_SPLITLINES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                             "\u2028", "\u2029", "\r"]
+
+
+@pytest.mark.parametrize("sep", LINE_BREAKS_OF_SPLITLINES)
+def test_only_newline_ends_a_line(sep):
+    # every other line break of str.splitlines() is whitespace inside a line
+    text = f"netlist t\nversion 1\ninput a{sep}b\noutput O=a P=b\n"
+    assert parse_netlist(text).inputs == ("a", "b")
+    assert reference_parse_netlist(text) == parse_netlist(text)
+
+
+def test_whitespace_in_a_line_keeps_later_line_numbers():
+    bad = "netlist t\x0b\nversion 1\ninput a b\noutput O=a\n"
+    assert [(d.line, d.col) for d in diags_of(bad)] == [(3, 9)]
+    crlf = bad.replace("\n", "\r\n")
+    assert [(d.line, d.col) for d in diags_of(crlf)] == [(3, 9)]
+
+
+def test_a_column_counts_characters():
+    bad = "netlist t\nversion 1\ninput \u00e9 b\noutput O=b\n"
+    assert [(d.line, d.col, d.message) for d in diags_of(bad)] == [
+        (3, 7, "invalid line id '\u00e9'")]
+
+
+def test_words_and_columns_split_at_the_same_characters():
+    # a line's words come from str.split(), which splits at the characters
+    # str.isspace() accepts, and a column from a rescan with _TOKEN_RE
+    assert not [hex(c) for c in range(sys.maxunicode + 1)
+                if chr(c).isspace() != (_TOKEN_RE.match(chr(c)) is None)]

@@ -1,14 +1,17 @@
 """Parser fuzzing: any text either parses or fails with positioned
-diagnostics, and layout that keeps every column leaves them unchanged."""
+diagnostics, the reference parser agrees on it, and layout that keeps every
+column leaves the diagnostics unchanged."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
 
+from helpers import reference_parse_netlist  # noqa: E402
 from revadd import (GateKind, Netlist, NetlistParseError,  # noqa: E402
-                    parse_netlist)
+                    build_design, parse_netlist, serialize)
 
 fuzz = settings(max_examples=150, deadline=None, database=None)
 
@@ -23,7 +26,7 @@ token = st.one_of(
     st.sampled_from(WORDS),
     st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E),
             min_size=1, max_size=6))
-gap = st.sampled_from([" ", "\t", "  ", " \t "])
+gap = st.sampled_from([" ", "\t", "  ", " \t ", "\x0b", "\x0c"])
 comment = st.sampled_from(["", "#", " # note", "\t#x <- y", "#gate FG a"])
 line = st.builds(lambda toks, sep, tail: sep.join(toks) + tail,
                  st.lists(token, max_size=8), gap, comment)
@@ -32,10 +35,10 @@ document = st.builds(lambda lines, eol: "".join(ln + eol for ln in lines),
                      st.sampled_from(["\n", "\r\n"]))
 
 
-def _outcome(text):
+def _outcome(text, parse=parse_netlist):
     """The parsed netlist, or the diagnostics as (line, col, message)."""
     try:
-        return parse_netlist(text)
+        return parse(text)
     except NetlistParseError as exc:
         assert exc.diagnostics
         return [(d.line, d.col, d.message) for d in exc.diagnostics]
@@ -46,7 +49,7 @@ def _outcome(text):
 def test_arbitrary_text_fails_only_with_positioned_diagnostics(text):
     outcome = _outcome(text)
     if not isinstance(outcome, Netlist):
-        lines = max(1, len(text.splitlines()))
+        lines = text.count("\n") + 1  # only "\n" ends a line
         for lineno, col, message in outcome:
             assert 1 <= lineno <= lines and col >= 1 and message
 
@@ -95,4 +98,39 @@ def test_layout_that_keeps_columns_keeps_the_diagnostics(doc, data):
                                           "#a <- b"]))
              for ln in lines]
     eol = data.draw(st.sampled_from(["\n", "\r\n"]))
-    assert _outcome("".join(ln + eol for ln in lines)) == want
+    text = "".join(ln + eol for ln in lines)
+    assert _outcome(text) == want
+    assert _outcome(text, reference_parse_netlist) == want
+
+
+SOURCES = [serialize(build_design(d)) for d in ("fa", "cla2", "csa4")]
+
+
+@st.composite
+def edited(draw):
+    """A design's document with a few words swapped for other words of it:
+    many such edits pass the text checks and fail validate(), so their
+    diagnostics are placed violations, some with several sinks."""
+    rows = [ln.split(" ") for ln in draw(st.sampled_from(SOURCES)).split("\n")]
+    words = [w for row in rows for w in row]
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(words))
+    return "\n".join(" ".join(row) for row in rows)
+
+
+def _with_examples(docs):
+    def wrap(test):
+        for doc in docs:
+            test = example(doc)(test)
+        return test
+    return wrap
+
+
+# the bad documents of test_textfmt.py are checked against the reference
+# parser there, by its diags_of
+@fuzz
+@_with_examples(BAD_DOCUMENTS)
+@given(st.one_of(document, st.text(max_size=200), edited()))
+def test_parser_agrees_with_the_reference_parser(text):
+    assert _outcome(text) == _outcome(text, reference_parse_netlist)
