@@ -30,12 +30,11 @@ memory of wide exhaustive campaigns; above the cap a batch holds one site.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from random import Random
 
 from .gates import parity
 from .netlist import (FAULT_TRANSFORMS, Netlist, SimResult, _check_valid,
                       _fault_transform, _input_parity, _simulate_vector,
-                      _vector_count, evaluate_lines, variable_masks)
+                      _vector_count, _vectors, evaluate_lines)
 
 FAULT_MODELS = tuple(FAULT_TRANSFORMS)
 WORD_BITS = 1 << 16  # widest word a campaign batch packs its sites into
@@ -107,14 +106,6 @@ def parity_detects(net: Netlist, fault_free_inputs, observed) -> bool:
     return _input_parity(net, fault_free_inputs, 1) != parity(observed)
 
 
-def _sampled_input_masks(net: Netlist, samples: int, seed: int,
-                         site_index: int) -> list[int]:
-    """Deterministic per-site vector stream keyed by (seed, site index);
-    bit v of each mask belongs to vector index v."""
-    rng = Random(f"{seed}/{site_index}")
-    return [rng.getrandbits(samples) for _ in net.inputs]
-
-
 def _pack(words, nbytes: int) -> int:
     """Lay ``words`` side by side in slots of ``nbytes`` bytes, the first
     word lowest.  Each word must fit its slot; a lone word is its own
@@ -136,9 +127,9 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
 
     ``samples=None`` enumerates all primary-input vectors (refused above
     ``EXHAUSTIVE_LIMIT`` inputs).  Sampled mode requires a seed so reports
-    reproduce; site i draws its vectors from its own stream keyed by
-    ``(seed, i)``.  Only a sampled report carries the seed, since an
-    exhaustive run draws nothing from it.
+    reproduce; site i draws its vectors from its own stream
+    ``Random(f"{seed}/{i}")``.  Only a sampled report carries the seed,
+    since an exhaustive run draws nothing from it.
 
     Sites run in batches of ``max(1, WORD_BITS // slot)``, where a slot is
     ``nvec`` rounded up to whole bytes (layout in the module docstring).
@@ -164,7 +155,7 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
     primary = [lid for _, lid in net.outputs]
 
     if samples is None:
-        shared_masks = variable_masks(len(net.inputs))
+        shared_masks, _ = _vectors(net)
         shared_base = evaluate_lines(net, shared_masks, one)
         tiled = {}  # batch size -> (masks, ones, base, input parity)
 
@@ -182,7 +173,7 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
                 tiled[k] = masks, ones, base, _input_parity(net, masks, ones)
             masks, ones, base, pin = tiled[k]
         else:
-            streams = [_sampled_input_masks(net, nvec, seed, start + j)
+            streams = [_vectors(net, nvec, f"{seed}/{start + j}")[0]
                        for j in range(k)]
             masks = [_pack(column, nbytes) for column in zip(*streams)]
             ones = _tile(one, k, nbytes)

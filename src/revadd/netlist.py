@@ -5,9 +5,7 @@ exactly one source (primary input, constant, or a gate output) and at most
 one sink (a gate input); source lines that no gate consumes must be declared
 either as named primary outputs or as garbage.  Equal boundary width
 (inputs + constants == outputs + garbage) then follows from gates having as
-many outputs as inputs; :func:`validate` re-checks it only when every other
-check passed, so a mismatch is never reported beside the violation that
-causes it.
+many outputs as inputs.
 
 Simulation is word-parallel: every line carries a Python integer used as a
 bitmask with one bit per test vector, and the gate expressions from
@@ -74,7 +72,6 @@ class _Program(NamedTuple):
     lines: tuple[str, ...]        # slot -> line id
     slot: dict[str, int]          # line id -> slot
     steps: tuple[tuple[GateKind, Callable], ...]  # (kind, input-slot reader)
-    producer: tuple[int, ...]     # slot -> index of its gate, -1 at boundary
 
 
 @dataclass(frozen=True)
@@ -110,10 +107,7 @@ class Netlist:
         slot = dict(zip(lines, range(len(lines))))
         read = slot.__getitem__
         steps = [(g.kind, itemgetter(*map(read, g.inputs))) for g in self.gates]
-        producer = [-1] * self.boundary_in_width()
-        for idx, g in enumerate(self.gates):
-            producer += [idx] * len(g.outputs)
-        return _Program(lines, slot, tuple(steps), tuple(producer))
+        return _Program(lines, slot, tuple(steps))
 
     def all_lines(self) -> list[str]:
         """Every line id in deterministic source order."""
@@ -237,8 +231,8 @@ def _find_violations(net: Netlist) -> tuple[Violation, ...]:
     """The violations of ``net``, in the order :func:`validate` reports them.
 
     A line's sinks are kept as cheap references (a gate index, an output
-    name or ``_GARBAGE``): the first in ``first``, any further ones in
-    ``extra``.  Descriptions are formatted only for violations.
+    name or ``_GARBAGE``), in first-sink order; descriptions are formatted
+    only for violations.
     """
     v: list[Violation] = []
     defined: dict[str, None] = {}  # definition order
@@ -259,15 +253,7 @@ def _find_violations(net: Netlist) -> tuple[Violation, ...]:
             v.append(Violation("role", f"constant {lid!r} has polarity {val!r}",
                                (lid,)))
 
-    first: dict[str, object] = {}
-    extra: dict[str, list] = {}
-
-    def sink(lid: str, ref):
-        if lid in first:
-            extra.setdefault(lid, []).append(ref)
-        else:
-            first[lid] = ref
-
+    sinks: dict[str, list] = {}
     for idx, g in enumerate(net.gates):
         n = ARITY[g.kind]
         if len(g.inputs) != n or len(g.outputs) != n:
@@ -280,10 +266,7 @@ def _find_violations(net: Netlist) -> tuple[Violation, ...]:
                 v.append(Violation(
                     "order", f"gate {idx} ({g.kind.value}) reads {lid!r} "
                     "before any earlier source defines it", (lid,)))
-            if lid in first:  # sink(lid, idx), inlined in the hot loop
-                extra.setdefault(lid, []).append(idx)
-            else:
-                first[lid] = idx
+            sinks.setdefault(lid, []).append(idx)
         for lid in g.outputs:
             if lid in defined:
                 v.append(redefined(lid, f"gate {idx} output"))
@@ -293,30 +276,28 @@ def _find_violations(net: Netlist) -> tuple[Violation, ...]:
         if lid not in defined:
             v.append(Violation("dangling", f"output {name} references "
                                f"undefined line {lid!r}", (lid,)))
-        sink(lid, name)
+        sinks.setdefault(lid, []).append(name)
     for lid in net.garbage:
         if lid not in defined:
             v.append(Violation("dangling", "garbage references undefined "
                                f"line {lid!r}", (lid,)))
-        sink(lid, _GARBAGE)
+        sinks.setdefault(lid, []).append(_GARBAGE)
 
-    if extra:
-        def describe(ref) -> str:
-            if ref is _GARBAGE:
-                return "garbage"
-            if isinstance(ref, int):
-                return f"gate {ref} ({net.gates[ref].kind.value})"
-            return f"output {ref}"
+    def describe(ref) -> str:
+        if ref is _GARBAGE:
+            return "garbage"
+        if isinstance(ref, int):
+            return f"gate {ref} ({net.gates[ref].kind.value})"
+        return f"output {ref}"
 
-        for lid in first:
-            if lid in extra:
-                where = [first[lid], *extra[lid]]
-                v.append(Violation(
-                    "fanout", f"line {lid!r} feeds {len(where)} sinks: "
-                    f"{', '.join(map(describe, where))}", (lid,)))
-    if not defined.keys() <= first.keys():
+    for lid, refs in sinks.items():
+        if len(refs) > 1:
+            v.append(Violation(
+                "fanout", f"line {lid!r} feeds {len(refs)} sinks: "
+                f"{', '.join(map(describe, refs))}", (lid,)))
+    if not defined.keys() <= sinks.keys():
         for lid in defined:
-            if lid not in first:
+            if lid not in sinks:
                 v.append(Violation(
                     "dangling", f"line {lid!r} has no sink; it must be "
                     "consumed, a primary output, or garbage", (lid,)))
@@ -332,12 +313,6 @@ def _find_violations(net: Netlist) -> tuple[Violation, ...]:
             v.append(Violation("role", f"output name {name!r} declared more "
                                f"than once (again for line {lid!r})", (lid,)))
         names.add(name)
-    # with square gates a mismatch implies one of the per-line violations
-    # above, so it is checked only when there is none
-    if not v and net.boundary_in_width() != net.boundary_out_width():
-        v.append(Violation(
-            "width", f"boundary width mismatch: {net.boundary_in_width()} "
-            f"inputs+constants vs {net.boundary_out_width()} outputs+garbage"))
     return tuple(v)
 
 
@@ -372,24 +347,23 @@ def evaluate_lines(net: Netlist, input_masks, one: int, fault=None) -> dict:
                          f"primary inputs, got {len(values)} input values")
     values += [one if pol else 0 for _, pol in net.constants]
     put = values.extend
-    if not fault:
-        for kind, read in prog.steps:
-            put(EVAL[kind](read(values), one))
-        return dict(zip(prog.lines, values))
-    hits: dict[int, list] = {}  # producing gate (-1: none) -> faulted slots
-    slot, producer = prog.slot, prog.producer
-    for lid, (model, mask) in fault.items():
-        # _fault_transform is reached, and raises, only on an unknown model
-        transform = FAULT_TRANSFORMS.get(model) or _fault_transform(model)
-        s = slot.get(lid)
-        if s is not None:
-            hits.setdefault(producer[s], []).append((s, transform, mask))
-    for s, transform, mask in hits.get(-1, ()):
-        values[s] = transform(values[s], mask)
-    for idx, (kind, read) in enumerate(prog.steps):
-        put(EVAL[kind](read(values), one))
-        for s, transform, mask in hits.get(idx, ()):
+    steps = iter(prog.steps)
+    if fault:
+        entries = []  # (slot, transform, mask)
+        for lid, (model, mask) in fault.items():
+            # _fault_transform is reached, and raises, only on an unknown model
+            transform = FAULT_TRANSFORMS.get(model) or _fault_transform(model)
+            s = prog.slot.get(lid)
+            if s is not None:
+                entries.append((s, transform, mask))
+        entries.sort(key=itemgetter(0))
+        for s, transform, mask in entries:
+            while len(values) <= s:
+                kind, read = next(steps)
+                put(EVAL[kind](read(values), one))
             values[s] = transform(values[s], mask)
+    for kind, read in steps:
+        put(EVAL[kind](read(values), one))
     return dict(zip(prog.lines, values))
 
 
@@ -449,16 +423,18 @@ def _vector_count(net: Netlist, samples: int | None) -> int:
     return samples
 
 
-def _evaluate_exhaustive(net: Netlist):
-    """Evaluate every input vector of a netlist already known to be valid
-    in one word-parallel pass (see :func:`_vector_count` for the limit).
-
-    Returns ``(total, input_masks, values)``: the vector count 2^n, the
-    enumeration masks and the mask of every line.
-    """
-    total = _vector_count(net, None)
-    masks = variable_masks(len(net.inputs))
-    return total, masks, evaluate_lines(net, masks, (1 << total) - 1)
+def _vectors(net: Netlist, samples: int | None = None,
+             seed: int | str | None = None) -> tuple[list[int], int]:
+    """The input masks of a check and its all-ones word: the enumeration
+    of every vector when ``samples`` is None, else ``samples`` vectors drawn
+    from ``Random(seed)`` (see :func:`_vector_count` for the refusals)."""
+    count = _vector_count(net, samples)
+    if samples is None:
+        masks = variable_masks(len(net.inputs))
+    else:
+        rng = Random(seed)
+        masks = [rng.getrandbits(count) for _ in net.inputs]
+    return masks, (1 << count) - 1
 
 
 # binary digit -> 0 or 1 << j, for bit j of a byte
@@ -489,7 +465,9 @@ def truth_table(net: Netlist):
     linear in the number of vectors times the boundary width.
     """
     _check_valid(net)
-    total, in_masks, values = _evaluate_exhaustive(net)
+    in_masks, one = _vectors(net)
+    values = evaluate_lines(net, in_masks, one)
+    total = one.bit_length()
     out_masks = [values[lid] for _, lid in net.outputs]
     garb_masks = [values[lid] for lid in net.garbage]
     return list(zip(_rows(in_masks, total), _rows(out_masks, total),
@@ -522,8 +500,8 @@ def _parity_conserved(net: Netlist, values: dict, one: int) -> bool:
 def is_parity_preserving_circuit(net: Netlist) -> bool:
     """Exhaustively check boundary parity conservation over all input vectors."""
     _check_valid(net)
-    total, _, values = _evaluate_exhaustive(net)
-    return _parity_conserved(net, values, (1 << total) - 1)
+    masks, one = _vectors(net)
+    return _parity_conserved(net, evaluate_lines(net, masks, one), one)
 
 
 def is_parity_preserving_circuit_sampled(net: Netlist, samples: int,
@@ -540,11 +518,8 @@ def is_parity_preserving_circuit_sampled(net: Netlist, samples: int,
 def _sampled_parity(net: Netlist, samples: int, seed: int) -> bool:
     """:func:`is_parity_preserving_circuit_sampled` for a netlist already
     known to be valid."""
-    one = (1 << _vector_count(net, samples)) - 1
-    rng = Random(seed)
-    masks = [rng.getrandbits(samples) for _ in net.inputs]
-    values = evaluate_lines(net, masks, one)
-    return _parity_conserved(net, values, one)
+    masks, one = _vectors(net, samples, seed)
+    return _parity_conserved(net, evaluate_lines(net, masks, one), one)
 
 
 _KEY_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # key bytes -> memoryview format
@@ -591,17 +566,18 @@ def is_reversible_circuit(net: Netlist) -> bool:
     """True iff, with constants fixed, the boundary map from primary inputs
     to (outputs + garbage) is injective."""
     _check_valid(net)
-    total, _, values = _evaluate_exhaustive(net)
-    return _injective(net, total, values)
+    masks, one = _vectors(net)
+    return _injective(net, one.bit_length(), evaluate_lines(net, masks, one))
 
 
 def _exhaustive_verdicts(net: Netlist) -> tuple[bool, bool]:
     """``(is_reversible_circuit(net), is_parity_preserving_circuit(net))``
     for a netlist already known to be valid, from one exhaustive
     evaluation."""
-    total, _, values = _evaluate_exhaustive(net)
-    return (_injective(net, total, values),
-            _parity_conserved(net, values, (1 << total) - 1))
+    masks, one = _vectors(net)
+    values = evaluate_lines(net, masks, one)
+    return (_injective(net, one.bit_length(), values),
+            _parity_conserved(net, values, one))
 
 
 def metrics(net: Netlist) -> MetricsReport:
