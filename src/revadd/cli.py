@@ -22,7 +22,8 @@ from types import MappingProxyType
 from . import builders
 from .faults import FAULT_MODELS, run_campaign
 from .netlist import (Netlist, WidthLimitError, _exhaustive_verdicts,
-                      _sampled_parity, metrics, simulate, validate)
+                      _sampled_parity, _vector_count, metrics, simulate,
+                      validate)
 from .report import emit_table1, gates_str
 from .textfmt import NetlistParseError, parse_netlist, serialize
 
@@ -96,16 +97,17 @@ def _operand_groups(line_ids: tuple[str, ...]
 
 
 def _sample_count(text: str) -> int:
-    """argparse type for ``--samples``: a check over no vectors checks
-    nothing, so counts below 1 are usage errors."""
+    """argparse type for ``--samples``: a count that the library would
+    refuse (below 1 or above ``1 << EXHAUSTIVE_LIMIT``) is a usage error
+    with the library's wording."""
     try:
         count = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if count < 1:
-        raise argparse.ArgumentTypeError(
-            f"sample count must be positive, got {count}")
-    return count
+    try:
+        return _vector_count(None, count)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _parse_value(text: str) -> int:

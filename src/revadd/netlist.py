@@ -5,7 +5,8 @@ exactly one source (primary input, constant, or a gate output) and at most
 one sink (a gate input); source lines that no gate consumes must be declared
 either as named primary outputs or as garbage.  Equal boundary width
 (inputs + constants == outputs + garbage) then follows from gates having as
-many outputs as inputs.
+many outputs as inputs.  Line ids and names must also be ones that the text
+format of :mod:`revadd.textfmt` reads back.
 
 Simulation is word-parallel: every line carries a Python integer used as a
 bitmask with one bit per test vector, and the gate expressions from
@@ -17,6 +18,7 @@ of a list, and each gate reads its input slots with one ``itemgetter``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import repeat
@@ -27,6 +29,8 @@ from typing import Callable, NamedTuple
 from .gates import ARITY, EVAL, CostVector, GateKind, ledger_cost
 
 EXHAUSTIVE_LIMIT = 20  # max primary-input width for exhaustive enumeration
+_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")  # a line id the text reads
+_IDS_RE = re.compile(rf"{_ID_RE.pattern}(?: {_ID_RE.pattern})*")
 
 # fault model -> transform of a line's value word under the fault mask
 FAULT_TRANSFORMS = {
@@ -313,6 +317,19 @@ def _find_violations(net: Netlist) -> tuple[Violation, ...]:
             v.append(Violation("role", f"output name {name!r} declared more "
                                f"than once (again for line {lid!r})", (lid,)))
         names.add(name)
+
+    # the text format must read every id and name back; the ids take one
+    # regex pass over their join, and a closer look only when it fails
+    ids = " ".join(defined)
+    if ids.count(" ") != len(defined) - 1 or not _IDS_RE.fullmatch(ids):
+        v += [Violation("role", f"invalid line id {lid!r}", (lid,))
+              for lid in defined if not _ID_RE.fullmatch(lid)]
+    for what, name, lines in [("netlist", net.name, ()),
+                              *(("output", name, (lid,))
+                                for name, lid in net.outputs)]:
+        if name.split() != [name] or "#" in name:
+            v.append(Violation("role", f"{what} name {name!r} is empty or "
+                               "holds whitespace or '#'", lines))
     return tuple(v)
 
 
@@ -406,12 +423,15 @@ def variable_masks(n: int) -> list[int]:
     return masks
 
 
-def _vector_count(net: Netlist, samples: int | None) -> int:
+def _vector_count(net: Netlist | None, samples: int | None) -> int:
     """Vectors a check runs over: all 2^n when ``samples`` is None, refused
     above ``EXHAUSTIVE_LIMIT`` inputs; else ``samples``, refused below 1,
-    since a check over no vectors would check nothing."""
-    n = len(net.inputs)
+    since a check over no vectors would check nothing, and above
+    ``1 << EXHAUSTIVE_LIMIT``, so that no check builds a word wider than an
+    exhaustive check at the limit does.  ``net`` is read only when
+    ``samples`` is None."""
     if samples is None:
+        n = len(net.inputs)
         if n > EXHAUSTIVE_LIMIT:
             raise WidthLimitError(
                 f"netlist {net.name!r} has {n} primary inputs; exhaustive "
@@ -420,6 +440,9 @@ def _vector_count(net: Netlist, samples: int | None) -> int:
         return 1 << n
     if samples < 1:
         raise ValueError(f"sample count must be positive, got {samples}")
+    if samples > 1 << EXHAUSTIVE_LIMIT:
+        raise ValueError(f"sample count must be at most "
+                         f"{1 << EXHAUSTIVE_LIMIT}, got {samples}")
     return samples
 
 
@@ -508,8 +531,9 @@ def is_parity_preserving_circuit_sampled(net: Netlist, samples: int,
                                          seed: int) -> bool:
     """Monte-Carlo parity check for wide netlists over ``samples`` vectors.
 
-    Raises ValueError when ``samples`` is below 1: a check over no vectors
-    would pass without having checked anything.
+    Raises ValueError when ``samples`` is below 1, since a check over no
+    vectors would pass without having checked anything, or above
+    ``1 << EXHAUSTIVE_LIMIT``.
     """
     _check_valid(net)
     return _sampled_parity(net, samples, seed)

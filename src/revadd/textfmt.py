@@ -28,11 +28,10 @@ import re
 from dataclasses import dataclass
 
 from .gates import ARITY, GateKind
-from .netlist import GateInstance, Netlist, Violation, validate
+from .netlist import _ID_RE, GateInstance, Netlist, Violation, validate
 
 FORMAT_VERSION = 1
 _WRAP = 8  # ids per declaration line when serializing
-_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 _TOKEN_RE = re.compile(r"\S+")
 _CONST_RE = re.compile(r"(.+)=([01])")
 _OUTPUT_RE = re.compile(r"(.+)=(.+)")

@@ -153,10 +153,6 @@ def reference_validate(net: Netlist) -> list[Violation]:
         both = sorted(out_set & set(net.garbage))
         v.append(Violation("role", f"lines declared both output and garbage: "
                            f"{', '.join(both)}", tuple(both)))
-    if not v and net.boundary_in_width() != net.boundary_out_width():
-        v.append(Violation(
-            "width", f"boundary width mismatch: {net.boundary_in_width()} "
-            f"inputs+constants vs {net.boundary_out_width()} outputs+garbage"))
     return v
 
 

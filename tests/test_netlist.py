@@ -237,9 +237,9 @@ def _random_valid(count):
 
 def _left_to_validate(v):
     """A violation that the parser's checks of the text do not catch
-    first: fanout, dangling, both-roles or boundary width."""
+    first: fanout, dangling or both-roles."""
     return (v.category in ("fanout", "dangling")
-            or v.message.startswith(("lines declared both", "boundary width")))
+            or v.message.startswith("lines declared both"))
 
 
 @pytest.mark.parametrize(
