@@ -319,7 +319,8 @@ def _find_violations(net: Netlist) -> tuple[Violation, ...]:
         names.add(name)
 
     # the text format must read every id and name back; the ids take one
-    # regex pass over their join, and a closer look only when it fails
+    # regex pass over their join (the space count catches an id holding a
+    # space), and a closer look only when that fails
     ids = " ".join(defined)
     if ids.count(" ") != len(defined) - 1 or not _IDS_RE.fullmatch(ids):
         v += [Violation("role", f"invalid line id {lid!r}", (lid,))
@@ -375,7 +376,7 @@ def evaluate_lines(net: Netlist, input_masks, one: int, fault=None) -> dict:
                 entries.append((s, transform, mask))
         entries.sort(key=itemgetter(0))
         for s, transform, mask in entries:
-            while len(values) <= s:
+            while len(values) <= s:  # run gates until one appends slot s
                 kind, read = next(steps)
                 put(EVAL[kind](read(values), one))
             values[s] = transform(values[s], mask)
