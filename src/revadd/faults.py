@@ -33,8 +33,9 @@ from dataclasses import dataclass, fields
 
 from .gates import parity
 from .netlist import (FAULT_TRANSFORMS, Netlist, SimResult, _check_valid,
-                      _fault_transform, _input_parity, _simulate_vector,
-                      _vector_count, _vectors, evaluate_lines)
+                      _draw, _fault_transform, _input_parity,
+                      _simulate_vector, _vector_count, evaluate_lines,
+                      variable_masks)
 
 FAULT_MODELS = tuple(FAULT_TRANSFORMS)
 WORD_BITS = 1 << 16  # widest word a campaign batch packs its sites into
@@ -155,7 +156,7 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
     primary = [lid for _, lid in net.outputs]
 
     if samples is None:
-        shared_masks, _ = _vectors(net)
+        shared_masks = variable_masks(len(net.inputs))
         shared_base = evaluate_lines(net, shared_masks, one)
         tiled = {}  # batch size -> (masks, ones, base, input parity)
 
@@ -173,7 +174,7 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
                 tiled[k] = masks, ones, base, _input_parity(net, masks, ones)
             masks, ones, base, pin = tiled[k]
         else:
-            streams = [_vectors(net, nvec, f"{seed}/{start + j}")[0]
+            streams = [_draw(net, nvec, f"{seed}/{start + j}")
                        for j in range(k)]
             masks = [_pack(column, nbytes) for column in zip(*streams)]
             ones = _tile(one, k, nbytes)

@@ -30,7 +30,6 @@ from .gates import ARITY, EVAL, CostVector, GateKind, ledger_cost
 
 EXHAUSTIVE_LIMIT = 20  # max primary-input width for exhaustive enumeration
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")  # a line id the text reads
-_IDS_RE = re.compile(rf"{_ID_RE.pattern}(?: {_ID_RE.pattern})*")
 
 # fault model -> transform of a line's value word under the fault mask
 FAULT_TRANSFORMS = {
@@ -318,17 +317,17 @@ def _find_violations(net: Netlist) -> tuple[Violation, ...]:
                                f"than once (again for line {lid!r})", (lid,)))
         names.add(name)
 
-    # the text format must read every id and name back; the ids take one
-    # regex pass over their join (the space count catches an id holding a
-    # space), and a closer look only when that fails
-    ids = " ".join(defined)
-    if ids.count(" ") != len(defined) - 1 or not _IDS_RE.fullmatch(ids):
-        v += [Violation("role", f"invalid line id {lid!r}", (lid,))
-              for lid in defined if not _ID_RE.fullmatch(lid)]
+    # the text format must read every id and name back
+    v += [Violation("role", f"invalid line id {lid!r}", (lid,))
+          for lid in defined
+          if not (isinstance(lid, str) and _ID_RE.fullmatch(lid))]
     for what, name, lines in [("netlist", net.name, ()),
                               *(("output", name, (lid,))
                                 for name, lid in net.outputs)]:
-        if name.split() != [name] or "#" in name:
+        if not isinstance(name, str):
+            v.append(Violation("role", f"{what} name {name!r} is not a "
+                               "string", lines))
+        elif name.split() != [name] or "#" in name:
             v.append(Violation("role", f"{what} name {name!r} is empty or "
                                "holds whitespace or '#'", lines))
     return tuple(v)
@@ -450,15 +449,19 @@ def _vector_count(net: Netlist | None, samples: int | None) -> int:
 def _vectors(net: Netlist, samples: int | None = None,
              seed: int | str | None = None) -> tuple[list[int], int]:
     """The input masks of a check and its all-ones word: the enumeration
-    of every vector when ``samples`` is None, else ``samples`` vectors drawn
-    from ``Random(seed)`` (see :func:`_vector_count` for the refusals)."""
+    of every vector when ``samples`` is None, else ``samples`` vectors
+    drawn by :func:`_draw` (see :func:`_vector_count` for the refusals)."""
     count = _vector_count(net, samples)
-    if samples is None:
-        masks = variable_masks(len(net.inputs))
-    else:
-        rng = Random(seed)
-        masks = [rng.getrandbits(count) for _ in net.inputs]
+    masks = (variable_masks(len(net.inputs)) if samples is None
+             else _draw(net, count, seed))
     return masks, (1 << count) - 1
+
+
+def _draw(net: Netlist, count: int, seed: int | str | None) -> list[int]:
+    """``count`` seeded vectors as input masks: one ``getrandbits(count)``
+    of ``Random(seed)`` per primary input, in input order."""
+    rng = Random(seed)
+    return [rng.getrandbits(count) for _ in net.inputs]
 
 
 # binary digit -> 0 or 1 << j, for bit j of a byte

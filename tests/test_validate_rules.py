@@ -57,6 +57,16 @@ def test_validate_refuses_what_the_parser_cannot_read_back(net, message):
         assert not any("[role]" in d.message for d in err.diagnostics)
 
 
+@pytest.mark.parametrize("net, messages", [
+    (_wire(lid=5), ["invalid line id 5"]),
+    (_gate_output(("y",)), ["invalid line id ('y',)"]),
+    (_wire(name=7), ["netlist name 7 is not a string"]),
+    (_wire(output=None), ["output name None is not a string"]),
+], ids=["int id", "tuple id", "int name", "None output name"])
+def test_validate_reports_ids_and_names_that_are_not_strings(net, messages):
+    assert [v.message for v in validate(net)] == messages
+
+
 def test_builder_refuses_an_unreadable_gate_output():
     nb = NetlistBuilder("t")
     a, b = nb.input("a"), nb.input("b")
