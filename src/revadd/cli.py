@@ -7,6 +7,9 @@ A=0x00FF,B=0x0001,Cin=0`` assigns bit i of A to line ``a<i>``.
 
 Exit codes: 0 success / all checks pass, 1 violations or fault coverage
 below 1.0, 2 usage errors.
+
+A command is parsed by its own subcommand parser; the top-level parser runs
+only for help and usage errors.
 """
 
 from __future__ import annotations
@@ -237,6 +240,8 @@ def _cmd_faults(args) -> int:
                               seed=args.seed)
     except WidthLimitError as exc:
         raise UsageError(f"{exc}: --samples N --seed S")
+    except ValueError as exc:  # a netlist with no fault sites
+        raise UsageError(str(exc))
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -254,9 +259,13 @@ def _cmd_table1(args) -> int:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """Nothing changes the parser once it is built, and building it costs
-    more than a small request, so main builds it once per process."""
+def _parser() -> tuple[argparse.ArgumentParser,
+                       dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by command name.
+
+    Nothing changes the parsers once they are built, and building them
+    costs more than a small request, so main builds them once per process.
+    """
     ap = argparse.ArgumentParser(
         prog="revadd",
         description="parity-preserving reversible adder toolkit")
@@ -299,13 +308,23 @@ def _parser() -> argparse.ArgumentParser:
                        help="computed vs published comparison table")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_table1)
-    return ap
+    return ap, sub.choices
 
 
 def main(argv=None) -> int:
-    ap = _parser()
+    ap, commands = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = ap.parse_args(argv)
+        # the top-level parser would only hand a command's arguments to the
+        # same subcommand parser; it runs for help and usage errors, so
+        # their messages stay its own
+        if command is None:
+            args = ap.parse_args(argv)
+        else:
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:  # reported as "unrecognized arguments" by the top level
+                args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -130,7 +130,8 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
     ``EXHAUSTIVE_LIMIT`` inputs).  Sampled mode requires a seed so reports
     reproduce; site i draws its vectors from its own stream
     ``Random(f"{seed}/{i}")``.  Only a sampled report carries the seed,
-    since an exhaustive run draws nothing from it.
+    since an exhaustive run draws nothing from it.  A netlist with no lines
+    is refused in either mode, since it has no fault site to inject.
 
     Sites run in batches of ``max(1, WORD_BITS // slot)``, where a slot is
     ``nvec`` rounded up to whole bytes (layout in the module docstring).
@@ -146,12 +147,15 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
         raise ValueError("sampled campaigns require a seed "
                          "(reports must be reproducible)")
     nvec = _vector_count(net, samples)
+    lines = net.all_lines()
+    if not lines:  # a campaign over no sites would check nothing
+        raise ValueError(f"netlist {net.name!r} has no lines, so a campaign "
+                         "has no fault site to inject")
     one = (1 << nvec) - 1
     nbytes = (nvec + 7) // 8
     slot = 8 * nbytes
     per_batch = max(1, WORD_BITS // slot)
 
-    lines = net.all_lines()
     boundary = [lid for _, lid in net.outputs] + list(net.garbage)
     primary = [lid for _, lid in net.outputs]
 

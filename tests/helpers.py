@@ -1,12 +1,13 @@
 """Shared test utilities: bit packing, oracles, and small fixture netlists."""
 
 import re
+import sys
 from random import Random
 from typing import NamedTuple
 
 from revadd import (ARITY, PARITY_PRESERVING_KINDS, CampaignReport,
                     GateInstance, GateKind, Netlist, NetlistBuilder,
-                    Violation, truth_table)
+                    Violation, cli, truth_table)
 from revadd.gates import EVAL
 from revadd.netlist import FAULT_TRANSFORMS, variable_masks, validate
 from revadd.textfmt import FORMAT_VERSION, Diagnostic, NetlistParseError
@@ -92,14 +93,19 @@ def random_fanout_free(rng, name: str, inputs: int, constants: int,
 def reference_validate(net: Netlist) -> list[Violation]:
     """Set-based oracle for :func:`revadd.validate`: a string description
     per sink, and "has no sink" violations in ``set`` order (which follows
-    the hash seed).  It knows no duplicate-output-name check."""
+    the hash seed).  It knows no duplicate-output-name check.  Ids and
+    names the text format cannot read back are matched with this module's
+    own patterns, as :func:`reference_parse_netlist` reads them."""
     v: list[Violation] = []
     defined: set[str] = set()
+    first_defined: list[str] = []
 
     def define(lid: str, what: str):
         if lid in defined:
             v.append(Violation("role", f"line {lid!r} defined more than once "
                                f"(redefined as {what})", (lid,)))
+        else:
+            first_defined.append(lid)
         defined.add(lid)
 
     for lid in net.inputs:
@@ -153,6 +159,19 @@ def reference_validate(net: Netlist) -> list[Violation]:
         both = sorted(out_set & set(net.garbage))
         v.append(Violation("role", f"lines declared both output and garbage: "
                            f"{', '.join(both)}", tuple(both)))
+
+    for lid in first_defined:
+        if not (isinstance(lid, str) and _ID_RE.fullmatch(lid)):
+            v.append(Violation("role", f"invalid line id {lid!r}", (lid,)))
+    named = [("netlist", net.name, ())]
+    named += [("output", name, (lid,)) for name, lid in net.outputs]
+    for what, name, lines in named:
+        if not isinstance(name, str):
+            v.append(Violation("role", f"{what} name {name!r} is not a "
+                               "string", lines))
+        elif not _NAME_RE.fullmatch(name):
+            v.append(Violation("role", f"{what} name {name!r} is empty or "
+                               "holds whitespace or '#'", lines))
     return v
 
 
@@ -160,7 +179,12 @@ def reference_evaluate_lines(net: Netlist, input_masks, one: int,
                              fault=None) -> dict:
     """Dict-based oracle for :func:`revadd.netlist.evaluate_lines`: looks
     every gate input up by line id, and applies a faulted line's transform
-    right after its source assigns it."""
+    right after its source assigns it.  Every model of ``fault`` is checked
+    first, also one on an id the netlist lacks."""
+    for model, _ in (fault or {}).values():
+        if model not in FAULT_TRANSFORMS:
+            raise ValueError(f"unknown fault model {model!r}; expected one "
+                             f"of {tuple(FAULT_TRANSFORMS)}")
     values = dict(zip(net.inputs, input_masks))
     for lid, pol in net.constants:
         values[lid] = one if pol else 0
@@ -223,11 +247,13 @@ def reference_campaign(net: Netlist, model: str = "flip", samples=None,
     """Per-site oracle for :func:`revadd.run_campaign`: one fault-free and
     one faulted evaluation per site, each site alone in its word, with the
     site's sampled vectors drawn from ``Random(f"{seed}/{site index}")``.
-    Returns the report as a dict."""
+    Returns the report as a dict, and refuses a netlist without lines."""
+    lines = net.all_lines()
+    if not lines:
+        raise ValueError(f"netlist {net.name!r} has no lines to inject")
     n = len(net.inputs)
     nvec = 1 << n if samples is None else samples
     one = (1 << nvec) - 1
-    lines = net.all_lines()
     boundary = [lid for _, lid in net.outputs] + list(net.garbage)
     primary = [lid for _, lid in net.outputs]
     detected = silent = corrupting = prim_seen = prim_missed = 0
@@ -275,6 +301,7 @@ _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 _TOKEN_RE = re.compile(r"\S+")
 _CONST_RE = re.compile(r"(.+)=([01])")
 _OUTPUT_RE = re.compile(r"(.+)=(.+)")
+_NAME_RE = re.compile(r"[^\s#]+")  # one token, no comment
 
 
 def _tokenize(text: str) -> list[list[_Token]]:
@@ -463,3 +490,25 @@ def reference_parse_netlist(text: str) -> Netlist:
     off them, where the parser keeps word references and finds a column
     only for a diagnostic."""
     return _ReferenceParser(text).parse()
+
+
+def reference_main(argv) -> int:
+    """Oracle for :func:`revadd.cli.main`: every request goes through the
+    top-level parser, which hands a command's arguments to its subcommand
+    parser, and the command then runs under main's exception handling."""
+    ap, _ = cli._parser()
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+    try:
+        return args.func(args)
+    except cli.UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except NetlistParseError as exc:
+        print(f"parse error(s):\n{exc}", file=sys.stderr)
+        return 1
+    except (ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1

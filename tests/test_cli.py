@@ -1,10 +1,13 @@
 """CLI contract: subcommands, operand expansion, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from helpers import pg_full_adder
+from helpers import pg_full_adder, reference_main
 from revadd import build_design, cli, netlist, parse_netlist, serialize
 from revadd.cli import main
 from revadd.faults import FAULT_MODELS
@@ -321,3 +324,81 @@ def test_operand_groups_are_kept_read_only_and_refusals_repeat(tmp_path,
         code, out, err = run(capsys, "sim", path, "--inputs", "A=0")
         assert code == 2 and out == ""
         assert err.startswith("error: ids a0, a2 do not index operand 'a'")
+
+
+@pytest.mark.parametrize("samples", [(), ("--samples", "4", "--seed", "1")],
+                         ids=["exhaustive", "sampled"])
+def test_faults_over_no_fault_sites_is_a_usage_error(tmp_path, capsys,
+                                                     samples):
+    path = tmp_path / "z.net"
+    path.write_text("netlist z\nversion 1\n")
+    assert run(capsys, "faults", str(path), *samples) == (
+        2, "", "error: netlist 'z' has no lines, so a campaign has no fault "
+        "site to inject\n")
+
+
+WELL_FORMED = [
+    ("build", "fa"),
+    ("sim", "fa", "--inputs", "A=1,B=0,Cin=1"),
+    ("verify", "csa4"),
+    ("verify", "hsa16", "--samples", "64", "--seed", "3"),
+    ("metrics", "cla2"),
+    ("metrics", "fa", "--json"),
+    ("faults", "fa", "--model", "sa1"),
+    ("faults", "hsa16", "--samples", "4", "--seed", "2", "--json"),
+    ("table1",),
+    ("table1", "--json"),
+]
+
+ARGV_CORPUS = WELL_FORMED + [
+    (), ("-h",), ("--help",), ("sim", "-h"), ("-h", "build"),
+    ("--json", "table1"),
+    ("frobnicate",), ("frobnicate", "fa"),
+    ("sim",), ("sim", "fa"), ("metrics",),
+    ("faults", "fa", "--model", "bogus"), ("verify", "fa", "--seed", "x"),
+    ("verify", "hsa16", "--samples", "0"),
+    ("faults", "hsa16", "--samples", "2000000", "--seed", "1"),
+    ("verify", "hsa16", "--samp", "4"), ("verify", "hsa16", "--samples=4"),
+    ("build", "--", "fa"), ("metrics", "fa", "--", "--json"),
+    ("build", "fa", "extra"), ("table1", "x"),
+] + [argv + ("--bogus",) for argv in WELL_FORMED]
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS,
+                         ids=lambda argv: " ".join(argv) or "(none)")
+def test_main_matches_the_full_top_level_parse(capsys, argv):
+    got = run(capsys, *argv)
+    want = reference_main(list(argv)), *capsys.readouterr()
+    assert got == want
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED,
+                         ids=lambda argv: " ".join(argv))
+def test_well_formed_command_skips_the_top_level_parser(capsys, monkeypatch,
+                                                         argv):
+    ap, _ = cli._parser()
+    calls = []
+    for name in ("parse_args", "parse_known_args"):
+        def counted(*args, _name=name, _parse=getattr(ap, name), **kwargs):
+            calls.append(_name)
+            return _parse(*args, **kwargs)
+        monkeypatch.setattr(ap, name, counted)
+    assert run(capsys, *argv)[0] == 0
+    assert calls == []
+    # a usage error is still the top-level parser's to report
+    code, out, err = run(capsys, *argv, "--bogus")
+    assert (code, out) == (2, "")
+    assert err.endswith("revadd: error: unrecognized arguments: --bogus\n")
+    assert calls == ["parse_args", "parse_known_args"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("build", "fa"), 0), (("--help",), 0), (("frobnicate",), 2)])
+def test_entry_point_reads_its_arguments(argv, code):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "revadd.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == code, done.stderr
+    if argv == ("build", "fa"):
+        assert done.stdout == serialize(build_design("fa"))

@@ -43,5 +43,7 @@ def test_unknown_model_on_an_absent_id_still_raises(width):
     one = (1 << width) - 1
     for fault in ({"ghost": ("stuck", one)},
                   {net.inputs[0]: ("flip", one), "ghost": ("stuck", one)}):
-        with pytest.raises(ValueError, match="unknown fault model 'stuck'"):
-            evaluate_lines(net, [one] * len(net.inputs), one, fault)
+        for evaluate in (evaluate_lines, reference_evaluate_lines):
+            with pytest.raises(ValueError,
+                               match="unknown fault model 'stuck'"):
+                evaluate(net, [one] * len(net.inputs), one, fault)

@@ -9,7 +9,7 @@ from helpers import (passthrough, pg_full_adder, random_fanout_free,
 from revadd import (FaultSite, GateKind, WidthLimitError, build_cla2,
                     build_csa4, build_design, build_full_adder, build_hsa16,
                     enumerate_fault_sites, faults, netlist, parity,
-                    parity_detects, run_campaign, simulate,
+                    parity_detects, parse_netlist, run_campaign, simulate,
                     simulate_with_fault, truth_table)
 from revadd.faults import FAULT_MODELS, WORD_BITS
 
@@ -246,9 +246,21 @@ def test_campaign_matches_per_site_reference_on_edge_netlists():
     assert not no_inputs.inputs and no_inputs.gates
     no_outputs = random_fanout_free(rng, "nooutputs", 3, 1, 4, "none")
     assert not no_outputs.outputs
-    for net in (passthrough(3), passthrough(0, "empty"), no_inputs,
-                no_outputs):
+    for net in (passthrough(3), no_inputs, no_outputs):
         _check_against_reference(net)
+
+
+@pytest.mark.parametrize("samples", [None, 4], ids=["exhaustive", "sampled"])
+def test_campaign_over_no_fault_sites_is_refused(samples):
+    # a report of coverage 1.0 over no sites would pass having checked
+    # nothing
+    seed = None if samples is None else 1
+    parsed = parse_netlist("netlist z\nversion 1\n")
+    for net in (passthrough(0, "empty"), parsed):
+        for campaign in (run_campaign, reference_campaign):
+            with pytest.raises(ValueError, match=f"netlist {net.name!r} has "
+                               "no lines"):
+                campaign(net, "flip", samples=samples, seed=seed)
 
 
 def test_campaign_matches_per_site_reference_on_non_parity_kinds():

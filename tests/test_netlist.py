@@ -189,6 +189,26 @@ def _mutant(rng, net, how):
         k = rng.randrange(len(constants))
         constants[k] = (constants[k][0], 2)
         return dataclasses.replace(net, constants=constants)
+    if how == "unreadable":  # an id or output name the text cannot read
+        if net.garbage and rng.random() < 0.5:  # garbage becomes an output
+            garbage = list(net.garbage)
+            lid = garbage.pop(rng.randrange(len(garbage)))
+            name = rng.choice(("", "O x", "O#"))
+            return dataclasses.replace(
+                net, outputs=[*net.outputs, (name, lid)], garbage=garbage)
+        old = rng.choice(net.all_lines())  # renamed wherever it appears
+        new = {old: f"{rng.randrange(10)}{old}"}
+
+        def ren(lids):
+            return tuple(new.get(lid, lid) for lid in lids)
+        return dataclasses.replace(
+            net, inputs=ren(net.inputs),
+            constants=[(new.get(lid, lid), v) for lid, v in net.constants],
+            gates=[dataclasses.replace(g, inputs=ren(g.inputs),
+                                       outputs=ren(g.outputs))
+                   for g in gates_],
+            outputs=[(name, new.get(lid, lid)) for name, lid in net.outputs],
+            garbage=ren(net.garbage))
     assert how == "duplicate-id"  # a gate output takes an input's id
     i = rng.randrange(len(gates_))
     g = gates_[i]
@@ -200,7 +220,8 @@ def _mutant(rng, net, how):
 
 def _seeded_mutants(count):
     rng = Random(4)
-    kinds = ("fanout", "drop-garbage", "swap", "polarity", "duplicate-id")
+    kinds = ("fanout", "drop-garbage", "swap", "polarity", "duplicate-id",
+             "unreadable")
     mutants = []
     while len(mutants) < count:
         net = random_fanout_free(rng, f"mut{len(mutants)}", rng.randint(2, 6),
