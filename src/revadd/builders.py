@@ -221,12 +221,12 @@ def build_design(name: str) -> Netlist:
     A design is built once per process: netlists are immutable, so each
     later call returns the same instance, with its violations and slot
     program already worked out.  The key is the builder and its integer
-    argument, so ``rca:8`` and ``rca:008`` share one netlist; a build that
-    raises is not kept.
+    argument, written in ASCII digits, so ``rca:8`` and ``rca:008`` share
+    one netlist; a build that raises is not kept.
     """
     key, colon, arg = name.partition(":")
     builder = _DESIGNS.get(key + ":<n>" if colon else key)
-    if builder is not None and (not colon or re.fullmatch(r"\d+", arg)):
+    if builder is not None and (not colon or re.fullmatch(r"[0-9]+", arg)):
         args = (int(arg),) if colon else ()
         net = _BUILT.get((builder, *args))
         if net is None:

@@ -205,3 +205,10 @@ def test_memoized_design_runs_the_current_gate_table(monkeypatch):
         assert build_design("fa") is fa
         assert simulate(fa, (1, 1, 1)).outputs == {"Sum": 1, "Cout": 0}
     assert simulate(build_design("fa"), (1, 1, 1)).outputs == want
+
+
+@pytest.mark.parametrize("name", ["rca:٣", "rca:３", "rca:"])
+def test_design_argument_is_ascii_digits(name):
+    # int() reads Arabic-Indic and fullwidth digits; a design name does not
+    with pytest.raises(KeyError, match="unknown design"):
+        build_design(name)

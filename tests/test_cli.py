@@ -337,6 +337,73 @@ def test_faults_over_no_fault_sites_is_a_usage_error(tmp_path, capsys,
         "site to inject\n")
 
 
+def test_sim_skips_empty_assignment_parts(capsys):
+    assert run(capsys, "sim", "fa", "--inputs", "A=1,,B=0,Cin=0,") == run(
+        capsys, "sim", "fa", "--inputs", "A=1,B=0,Cin=0")
+
+
+@pytest.mark.parametrize("assignment, message", [
+    ("A", "malformed input assignment 'A' (expected name=value)"),
+    ("A=1,a=0,B=0,Cin=0", "operand 'a' assigned twice"),
+])
+def test_sim_refuses_malformed_and_repeated_operands(capsys, assignment,
+                                                     message):
+    assert run(capsys, "sim", "fa", "--inputs", assignment) == (
+        2, "", f"error: {message}\n")
+
+
+def test_non_integer_sample_count_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "fa", "--samples", "x")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --samples: invalid int value: "
+                        "'x'\n")
+
+
+def test_ids_outside_the_operand_pattern_are_operands_of_their_own(
+        tmp_path, capsys):
+    assert dict(cli._operand_groups(("x.1", "x.2", "y"))) == {
+        "x.1": ("x.1",), "x.2": ("x.2",), "y": ("y",)}
+    path = _wires(tmp_path, ["x.1", "x.2", "y"])
+    assert run(capsys, "sim", path, "--inputs", "X.1=1,x.2=0,y=1") == (
+        0, "O = 0x5 (0b101)\ngarbage = \n", "")
+    code, out, err = run(capsys, "sim", path, "--inputs", "x=1,y=0")
+    assert (code, out) == (2, "")
+    assert err == ("error: unknown operand 'x'; this netlist has: x.1, x.2, "
+                   "y\n")
+
+
+@pytest.mark.parametrize("design", ["rca:\u0663", "rca:\uff13"])
+def test_design_width_takes_only_ascii_digits(capsys, design):
+    code, out, err = run(capsys, "build", design)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {design!r} is neither a known design")
+
+
+def _fanout_netlist():
+    """A netlist no builder or parser would return: line a feeds two
+    outputs."""
+    return netlist.Netlist("fan", inputs=("a", "b", "c"),
+                           outputs=(("O", "a"), ("P", "b"), ("Q", "c"),
+                                    ("R", "a")))
+
+
+def test_verify_lists_the_violations_of_a_loaded_netlist(capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr("revadd.cli._load", lambda target: _fanout_netlist())
+    assert run(capsys, "verify", "fan") == (
+        1, "validate: 1 violation(s)\n  [fanout] line 'a' feeds 2 sinks: "
+        "output O, output R\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sim", "fan", "--inputs", "A=1,B=0,C=1"), ("metrics", "fan")])
+def test_invalid_loaded_netlist_is_an_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr("revadd.cli._load", lambda target: _fanout_netlist())
+    assert run(capsys, *argv) == (
+        1, "", "error: netlist 'fan' is not valid: [fanout] line 'a' feeds "
+        "2 sinks: output O, output R\n")
+
+
 WELL_FORMED = [
     ("build", "fa"),
     ("sim", "fa", "--inputs", "A=1,B=0,Cin=1"),
@@ -361,6 +428,10 @@ ARGV_CORPUS = WELL_FORMED + [
     ("verify", "hsa16", "--samp", "4"), ("verify", "hsa16", "--samples=4"),
     ("build", "--", "fa"), ("metrics", "fa", "--", "--json"),
     ("build", "fa", "extra"), ("table1", "x"),
+    ("sim", "fa", "--inputs", "A=1,,B=0,Cin=0"), ("sim", "fa", "--inputs", "A"),
+    ("sim", "fa", "--inputs", "A=1,A=0,B=0,Cin=0"),
+    ("verify", "fa", "--samples", "x"),
+    ("build", "rca:\u0663"), ("build", "rca:\uff13"),
 ] + [argv + ("--bogus",) for argv in WELL_FORMED]
 
 

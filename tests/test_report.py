@@ -1,8 +1,12 @@
 """Comparison-table report: published constants, ledger arithmetic, flags."""
 
 import json
+import re
+from dataclasses import replace
 
-from revadd import CostVector, build_table1, emit_table1, ledger_cost
+import pytest
+
+from revadd import CostVector, build_table1, emit_table1, ledger_cost, report
 from revadd.report import PUBLISHED_ROWS
 
 
@@ -53,3 +57,66 @@ def test_json_and_text_renderings_agree_on_flags():
     assert hsa["mismatches"] == ["cost"]
     text = emit_table1("text")
     assert text.count("MISMATCH") == 1
+
+
+def _table_with(monkeypatch, row):
+    """Text and JSON renderings of a table holding only ``row``."""
+    monkeypatch.setattr(report, "PUBLISHED_ROWS", (row,))
+    (rec,) = json.loads(emit_table1("json"))["rows"]
+    assert [rec] == build_table1()
+    _, line, *notes = emit_table1("text").splitlines()
+    return rec, re.split(r"\s{2,}", line), notes
+
+
+@pytest.mark.parametrize("field, value, mismatch, note", [
+    ("gates", {"MIG": 3}, "gates",
+     "1-bit FTFA: computed gates differs from published value"),
+    ("cost", CostVector(7, 4, 2), "cost",
+     "1-bit FTFA: computed cost 6α+4β+2δ vs published 7α+4β+2δ"),
+    ("constants", 3, "constant_inputs",
+     "1-bit FTFA: computed constant_inputs differs from published value"),
+    ("garbage", 4, "garbage_outputs",
+     "1-bit FTFA: computed garbage_outputs differs from published value"),
+])
+def test_built_row_flags_each_perturbed_field(monkeypatch, field, value,
+                                              mismatch, note):
+    row = replace(PUBLISHED_ROWS[0], **{field: value})
+    assert row.builder == "fa"
+    rec, cells, notes = _table_with(monkeypatch, row)
+    assert rec["mismatches"] == [mismatch]
+    # the computed columns are the built design's, whatever was published
+    assert cells == ["1-bit FTFA", "2 (2 MIG)", "6α+4β+2δ", "2", "3",
+                     f"MISMATCH: {mismatch}"]
+    assert notes == ["", f"note: {note}"]
+
+
+def test_reference_row_is_judged_on_its_ledger_cost(monkeypatch):
+    row = replace(PUBLISHED_ROWS[1], cost=CostVector(9, 6, 2))
+    assert row.builder is None
+    rec, cells, notes = _table_with(monkeypatch, row)
+    assert rec["reference_only"] is True
+    assert rec["mismatches"] == ["cost"]
+    assert rec["computed"] == {"cost": {"alpha": 8, "beta": 6, "delta": 2}}
+    assert rec["published"]["cost"] == {"alpha": 9, "beta": 6, "delta": 2}
+    assert cells == ["1-bit FTFA (IG)", "2 (2 IG)", "8α+6β+2δ", "2", "3",
+                     "MISMATCH: cost"]
+    assert notes == ["", "note: 1-bit FTFA (IG): computed cost 8α+6β+2δ vs "
+                         "published 9α+6β+2δ"]
+
+
+def test_json_record_keys_keep_their_order():
+    for rec in build_table1():
+        tail = ["reference_only"] if rec.get("reference_only") else []
+        assert list(rec) == (["key", "label", "published", "computed"]
+                             + tail + ["mismatches"])
+
+
+def test_text_rendering_builds_no_records(monkeypatch):
+    text = emit_table1("text")
+    monkeypatch.setattr(report, "build_table1", None)
+    assert emit_table1("text") == text
+
+
+def test_unknown_report_format_is_refused():
+    with pytest.raises(ValueError, match="unknown report format 'csv'"):
+        emit_table1("csv")

@@ -207,6 +207,12 @@ def test_malformed_header_is_reported_once(text, expected):
     assert [(d.line, d.col, d.message) for d in diags_of(text)] == [expected]
 
 
+def test_const_without_ids_is_diagnosed():
+    assert [(d.line, d.col, d.message)
+            for d in diags_of("netlist t\nversion 1\nconst\n")] == [
+        (3, 1, "expected: const <id>=0|1 ...")]
+
+
 LINE_BREAKS_OF_SPLITLINES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                              "\u2028", "\u2029", "\r"]
 
