@@ -24,9 +24,8 @@ from types import MappingProxyType
 
 from . import builders
 from .faults import FAULT_MODELS, run_campaign
-from .netlist import (Netlist, WidthLimitError, _exhaustive_verdicts,
-                      _sampled_parity, _vector_count, metrics, simulate,
-                      validate)
+from .netlist import (Netlist, WidthLimitError, _exhaustive_verdicts, _parity,
+                      _vector_count, metrics, simulate, validate)
 from .report import emit_table1, gates_str
 from .textfmt import NetlistParseError, parse_netlist, serialize
 
@@ -57,7 +56,7 @@ def _load(target: str) -> Netlist:
     return parse_netlist(text)
 
 
-_OPERAND_ID = re.compile(r"([A-Za-z_]+?)(\d+)?")
+_OPERAND_ID = re.compile(r"([A-Za-z_]+?)(0|[1-9][0-9]*)?")
 
 
 @functools.lru_cache(maxsize=64)
@@ -70,7 +69,8 @@ def _operand_groups(line_ids: tuple[str, ...]
     Operand names match case-insensitively, so the ids of one operand must
     spell its name alike (``cin`` with ``Cin`` is refused), and a multi-bit
     operand's indices must be exactly ``0..w-1`` (``a0`` with ``a2`` is
-    refused); a lone id keeps its index (``C2``).
+    refused); a lone id keeps its index (``C2``).  An index is a decimal
+    without leading zeros, so ``a00`` is an operand of its own.
 
     The groups of the last 64 id tuples are kept, as read-only mappings of
     tuples, so repeated requests on one design do not regroup its ids.  A
@@ -209,7 +209,7 @@ def _cmd_verify(args) -> int:
     except WidthLimitError:
         print(f"reversible: skipped ({len(net.inputs)} primary inputs "
               "exceed the exhaustive limit)")
-        par = _sampled_parity(net, args.samples, args.seed)
+        par = _parity(net, args.samples, args.seed)
         print(f"parity-preserving: {par} (sampled, {args.samples} vectors, "
               f"seed {args.seed})")
         return 0 if par else 1
@@ -232,15 +232,12 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_faults(args) -> int:
     net = _load(args.design)
-    if args.samples is not None and args.seed is None:
-        raise UsageError("--samples requires --seed (reports must be "
-                         "reproducible)")
     try:
         report = run_campaign(net, model=args.model, samples=args.samples,
                               seed=args.seed)
     except WidthLimitError as exc:
         raise UsageError(f"{exc}: --samples N --seed S")
-    except ValueError as exc:  # a netlist with no fault sites
+    except ValueError as exc:  # no fault sites, or a sampled run unseeded
         raise UsageError(str(exc))
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))

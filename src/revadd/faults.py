@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .gates import parity
-from .netlist import (FAULT_TRANSFORMS, Netlist, SimResult, _check_valid,
-                      _draw, _fault_transform, _input_parity,
+from .netlist import (FAULT_TRANSFORMS, Netlist, SimResult, _boundary,
+                      _check_valid, _draw, _fault_transform, _input_parity,
                       _simulate_vector, _vector_count, evaluate_lines,
                       variable_masks)
 
@@ -156,12 +156,10 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
     slot = 8 * nbytes
     per_batch = max(1, WORD_BITS // slot)
 
-    boundary = [lid for _, lid in net.outputs] + list(net.garbage)
-    primary = [lid for _, lid in net.outputs]
-
+    nout = len(net.outputs)
     if samples is None:
         shared_masks = variable_masks(len(net.inputs))
-        shared_base = evaluate_lines(net, shared_masks, one)
+        shared_base = _boundary(net, evaluate_lines(net, shared_masks, one))
         tiled = {}  # batch size -> (masks, ones, base, input parity)
 
     detected = silent = corrupting = 0
@@ -173,8 +171,7 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
             if k not in tiled:
                 masks = [_tile(m, k, nbytes) for m in shared_masks]
                 ones = _tile(one, k, nbytes)
-                base = {lid: _tile(shared_base[lid], k, nbytes)
-                        for lid in boundary}
+                base = [_tile(w, k, nbytes) for w in shared_base]
                 tiled[k] = masks, ones, base, _input_parity(net, masks, ones)
             masks, ones, base, pin = tiled[k]
         else:
@@ -182,29 +179,24 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
                        for j in range(k)]
             masks = [_pack(column, nbytes) for column in zip(*streams)]
             ones = _tile(one, k, nbytes)
-            values = evaluate_lines(net, masks, ones)
-            base = {lid: values[lid] for lid in boundary}
-            del values  # keep no inner line's word through the faulted run
+            base = _boundary(net, evaluate_lines(net, masks, ones))
             pin = _input_parity(net, masks, ones)
         fault = {lid: (model, one << (slot * j))
                  for j, lid in enumerate(batch)}
-        faulted = evaluate_lines(net, masks, ones, fault)
-        pout = 0
-        diff = 0
-        for lid in boundary:
-            pout ^= faulted[lid]
-            diff |= faulted[lid] ^ base[lid]
+        faulted = _boundary(net, evaluate_lines(net, masks, ones, fault))
+        pout = diff = pdiff = 0
+        for word, clean in zip(faulted, base):
+            pout ^= word
+            diff |= word ^ clean
+        for word, clean in zip(faulted[:nout], base):
+            pdiff |= word ^ clean
         alarm = pin ^ pout
         detected += alarm.bit_count()
         quiet = ones & ~alarm
         silent += (quiet & ~diff).bit_count()
         corrupting += (quiet & diff).bit_count()
-        pdiff = 0
-        for lid in primary:
-            pdiff |= faulted[lid] ^ base[lid]
         prim_seen += pdiff.bit_count()
         prim_missed += (ones & ~pdiff).bit_count()
-        del faulted  # nor every line's faulted word through the next batch
 
     judged = detected + corrupting
     coverage = 1.0 if judged == 0 else detected / judged

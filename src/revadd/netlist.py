@@ -298,12 +298,11 @@ def _find_violations(net: Netlist) -> tuple[Violation, ...]:
             v.append(Violation(
                 "fanout", f"line {lid!r} feeds {len(refs)} sinks: "
                 f"{', '.join(map(describe, refs))}", (lid,)))
-    if not defined.keys() <= sinks.keys():
-        for lid in defined:
-            if lid not in sinks:
-                v.append(Violation(
-                    "dangling", f"line {lid!r} has no sink; it must be "
-                    "consumed, a primary output, or garbage", (lid,)))
+    for lid in defined:
+        if lid not in sinks:
+            v.append(Violation(
+                "dangling", f"line {lid!r} has no sink; it must be "
+                "consumed, a primary output, or garbage", (lid,)))
 
     out_set = {lid for _, lid in net.outputs}
     if out_set & set(net.garbage):
@@ -368,8 +367,7 @@ def evaluate_lines(net: Netlist, input_masks, one: int, fault=None) -> dict:
     if fault:
         entries = []  # (slot, transform, mask)
         for lid, (model, mask) in fault.items():
-            # _fault_transform is reached, and raises, only on an unknown model
-            transform = FAULT_TRANSFORMS.get(model) or _fault_transform(model)
+            transform = _fault_transform(model)
             s = prog.slot.get(lid)
             if s is not None:
                 entries.append((s, transform, mask))
@@ -397,10 +395,17 @@ def _simulate_vector(net: Netlist, bits, fault=None) -> SimResult:
     bits = tuple(bits)
     if any(b not in (0, 1) for b in bits):
         raise ValueError(f"non-binary value in input vector {bits!r}")
-    values = evaluate_lines(net, bits, 1, fault=fault)
-    outs = {name: values[lid] for name, lid in net.outputs}
-    garb = tuple(values[lid] for lid in net.garbage)
-    return SimResult(outs, garb)
+    words = _boundary(net, evaluate_lines(net, bits, 1, fault=fault))
+    outs = dict(zip([name for name, _ in net.outputs], words))
+    return SimResult(outs, tuple(words[len(net.outputs):]))
+
+
+def _boundary(net: Netlist, values) -> list[int]:
+    """The value words of the outputs in declared order, then the garbage:
+    the output side that parity, reversibility and fault detection judge."""
+    words = [values[lid] for _, lid in net.outputs]
+    words += [values[lid] for lid in net.garbage]
+    return words
 
 
 def variable_masks(n: int) -> list[int]:
@@ -493,12 +498,11 @@ def truth_table(net: Netlist):
     """
     _check_valid(net)
     in_masks, one = _vectors(net)
-    values = evaluate_lines(net, in_masks, one)
+    words = _boundary(net, evaluate_lines(net, in_masks, one))
     total = one.bit_length()
-    out_masks = [values[lid] for _, lid in net.outputs]
-    garb_masks = [values[lid] for lid in net.garbage]
-    return list(zip(_rows(in_masks, total), _rows(out_masks, total),
-                    _rows(garb_masks, total)))
+    nout = len(net.outputs)
+    return list(zip(_rows(in_masks, total), _rows(words[:nout], total),
+                    _rows(words[nout:], total)))
 
 
 def _input_parity(net: Netlist, input_masks, one: int) -> int:
@@ -512,23 +516,28 @@ def _input_parity(net: Netlist, input_masks, one: int) -> int:
     return pin
 
 
-def _parity_conserved(net: Netlist, values: dict, one: int) -> bool:
-    """On every vector, the parity of the inputs (constants included)
-    equals the parity of the outputs (garbage included)."""
-    pin = _input_parity(net, map(values.__getitem__, net.inputs), one)
+def _parity_conserved(net: Netlist, masks, one: int, values: dict) -> bool:
+    """On every vector, the parity of the input masks ``masks`` and the
+    constants equals the parity of the outputs and garbage in ``values``."""
     pout = 0
-    for _, lid in net.outputs:
-        pout ^= values[lid]
-    for lid in net.garbage:
-        pout ^= values[lid]
-    return pin == pout
+    for word in _boundary(net, values):
+        pout ^= word
+    return _input_parity(net, masks, one) == pout
+
+
+def _parity(net: Netlist, samples: int | None = None,
+            seed: int | None = None) -> bool:
+    """Boundary parity conservation of a netlist already known to be valid,
+    over every input vector, or over ``samples`` vectors drawn from
+    ``seed`` (see :func:`_vectors`)."""
+    masks, one = _vectors(net, samples, seed)
+    return _parity_conserved(net, masks, one, evaluate_lines(net, masks, one))
 
 
 def is_parity_preserving_circuit(net: Netlist) -> bool:
     """Exhaustively check boundary parity conservation over all input vectors."""
     _check_valid(net)
-    masks, one = _vectors(net)
-    return _parity_conserved(net, evaluate_lines(net, masks, one), one)
+    return _parity(net)
 
 
 def is_parity_preserving_circuit_sampled(net: Netlist, samples: int,
@@ -540,17 +549,7 @@ def is_parity_preserving_circuit_sampled(net: Netlist, samples: int,
     ``1 << EXHAUSTIVE_LIMIT``.
     """
     _check_valid(net)
-    return _sampled_parity(net, samples, seed)
-
-
-def _sampled_parity(net: Netlist, samples: int, seed: int) -> bool:
-    """:func:`is_parity_preserving_circuit_sampled` for a netlist already
-    known to be valid."""
-    masks, one = _vectors(net, samples, seed)
-    return _parity_conserved(net, evaluate_lines(net, masks, one), one)
-
-
-_KEY_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # key bytes -> memoryview format
+    return _parity(net, samples, seed)
 
 
 def _injective(net: Netlist, total: int, values: dict) -> bool:
@@ -563,17 +562,16 @@ def _injective(net: Netlist, total: int, values: dict) -> bool:
     translated to 0 or ``1 << j``, and the eight columns of group ``g`` are
     read as big-endian ints and ORed, so byte ``v`` of their little-endian
     form is key byte ``g`` of vector ``v``; strided slice assignment
-    interleaves the groups into one buffer.  Keys of 1, 2, 4 or 8 bytes
-    (up to 64 lines, padded with zero bytes) are counted as the ints of a
-    memoryview cast, wider ones as ``bytes`` slices.  Every step is one
-    C-level pass over ``total`` bytes or digits, so the cost is linear in
-    the number of vectors times the boundary width.  With no boundary lines
-    every row is empty, and the map is injective iff ``total == 1``.
+    interleaves the groups into one buffer.  Up to 64 lines a key is 8
+    bytes (padded with zero bytes) and is counted as an int of a memoryview
+    cast, wider ones as ``bytes`` slices.  Every step is one C-level pass
+    over ``total`` bytes or digits, so the cost is linear in the number of
+    vectors times the boundary width.  With no boundary lines every row is
+    empty, and the map is injective iff ``total == 1``.
     """
-    masks = [values[lid] for _, lid in net.outputs]
-    masks += [values[lid] for lid in net.garbage]
+    masks = _boundary(net, values)
     groups = (len(masks) + 7) // 8
-    size = next((s for s in _KEY_CODES if s >= groups), groups)
+    size = max(8, groups)
     buf = bytearray(total * size)
     fmt = f"0{total}b"
     for g in range(groups):
@@ -582,8 +580,8 @@ def _injective(net: Netlist, total: int, values: dict) -> bool:
             column |= int.from_bytes(
                 format(m, fmt).encode("ascii").translate(table), "big")
         buf[g::size] = column.to_bytes(total, "little")
-    if size in _KEY_CODES:
-        keys = memoryview(buf).cast(_KEY_CODES[size])
+    if size == 8:
+        keys = memoryview(buf).cast("Q")
     else:
         flat = bytes(buf)
         keys = (flat[i:i + size] for i in range(0, len(flat), size))
@@ -594,8 +592,7 @@ def is_reversible_circuit(net: Netlist) -> bool:
     """True iff, with constants fixed, the boundary map from primary inputs
     to (outputs + garbage) is injective."""
     _check_valid(net)
-    masks, one = _vectors(net)
-    return _injective(net, one.bit_length(), evaluate_lines(net, masks, one))
+    return _exhaustive_verdicts(net)[0]
 
 
 def _exhaustive_verdicts(net: Netlist) -> tuple[bool, bool]:
@@ -605,7 +602,7 @@ def _exhaustive_verdicts(net: Netlist) -> tuple[bool, bool]:
     masks, one = _vectors(net)
     values = evaluate_lines(net, masks, one)
     return (_injective(net, one.bit_length(), values),
-            _parity_conserved(net, values, one))
+            _parity_conserved(net, masks, one, values))
 
 
 def metrics(net: Netlist) -> MetricsReport:

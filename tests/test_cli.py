@@ -162,6 +162,14 @@ def test_faults_sampled_requires_seed(capsys):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("design, samples", [("fa", "8"), ("hsa16", "64")])
+def test_sampled_faults_without_a_seed_is_a_usage_error(capsys, design,
+                                                        samples):
+    assert run(capsys, "faults", design, "--samples", samples) == (
+        2, "", "error: sampled campaigns require a seed (reports must be "
+        "reproducible)\n")
+
+
 def test_faults_on_non_parity_circuit_exits_one(tmp_path, capsys):
     path = tmp_path / "pgfa.net"
     path.write_text(serialize(pg_full_adder()))
@@ -370,6 +378,17 @@ def test_ids_outside_the_operand_pattern_are_operands_of_their_own(
     assert (code, out) == (2, "")
     assert err == ("error: unknown operand 'x'; this netlist has: x.1, x.2, "
                    "y\n")
+
+
+def test_operand_indices_are_decimals_without_leading_zeros(tmp_path,
+                                                           capsys):
+    assert dict(cli._operand_groups(("a00", "a1"))) == {
+        "a00": ("a00",), "a": ("a1",)}
+    path = _wires(tmp_path, ["a00", "a1"])
+    assert run(capsys, "sim", path, "--inputs", "A=2") == (
+        2, "", "error: missing operand value(s): a00\n")
+    assert run(capsys, "sim", path, "--inputs", "A=1,A00=0") == (
+        0, "O = 0x2 (0b10)\ngarbage = \n", "")
 
 
 @pytest.mark.parametrize("design", ["rca:\u0663", "rca:\uff13"])

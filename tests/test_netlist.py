@@ -491,7 +491,7 @@ def test_reversibility_check_can_fail(monkeypatch):
 
 
 # boundary widths on each side of every key size _injective packs to
-# (1, 2, 4 and 8 bytes, then bytes slices above 64 lines)
+# (one 8-byte key up to 64 lines, then bytes slices above 64 lines)
 KEY_WIDTHS = [0, 1, 8, 9, 16, 17, 32, 33, 64, 65, 72]
 
 
