@@ -244,9 +244,7 @@ def _cmd_faults(args) -> int:
     else:
         for key, val in report.to_dict().items():
             print(f"{key}: {val}")
-    clean = (report.coverage == 1.0
-             and report.undetected_and_corrupting == 0)
-    return 0 if clean else 1
+    return 0 if report.undetected_and_corrupting == 0 else 1
 
 
 def _cmd_table1(args) -> int:

@@ -33,9 +33,9 @@ from dataclasses import dataclass, fields
 
 from .gates import parity
 from .netlist import (FAULT_TRANSFORMS, Netlist, SimResult, _boundary,
-                      _check_valid, _draw, _fault_transform, _input_parity,
-                      _simulate_vector, _vector_count, evaluate_lines,
-                      variable_masks)
+                      _check_valid, _fault_transform, _input_parity,
+                      _simulate_vector, _vector_count, _vectors,
+                      evaluate_lines)
 
 FAULT_MODELS = tuple(FAULT_TRANSFORMS)
 WORD_BITS = 1 << 16  # widest word a campaign batch packs its sites into
@@ -143,9 +143,6 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
     """
     _check_valid(net)
     _fault_transform(model)
-    if samples is not None and seed is None:
-        raise ValueError("sampled campaigns require a seed "
-                         "(reports must be reproducible)")
     nvec = _vector_count(net, samples)
     lines = net.all_lines()
     if not lines:  # a campaign over no sites would check nothing
@@ -158,7 +155,7 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
 
     nout = len(net.outputs)
     if samples is None:
-        shared_masks = variable_masks(len(net.inputs))
+        shared_masks, _ = _vectors(net)
         shared_base = _boundary(net, evaluate_lines(net, shared_masks, one))
         tiled = {}  # batch size -> (masks, ones, base, input parity)
 
@@ -175,7 +172,7 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
                 tiled[k] = masks, ones, base, _input_parity(net, masks, ones)
             masks, ones, base, pin = tiled[k]
         else:
-            streams = [_draw(net, nvec, f"{seed}/{start + j}")
+            streams = [_vectors(net, samples, seed, start + j)[0]
                        for j in range(k)]
             masks = [_pack(column, nbytes) for column in zip(*streams)]
             ones = _tile(one, k, nbytes)

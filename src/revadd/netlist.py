@@ -233,9 +233,9 @@ _GARBAGE = None  # sink reference of a garbage declaration
 def _find_violations(net: Netlist) -> tuple[Violation, ...]:
     """The violations of ``net``, in the order :func:`validate` reports them.
 
-    A line's sinks are kept as cheap references (a gate index, an output
-    name or ``_GARBAGE``), in first-sink order; descriptions are formatted
-    only for violations.
+    A line's sinks are kept as cheap references (gate index ``i``, ``~j``
+    for output ``j``, or ``_GARBAGE``), in first-sink order; descriptions
+    are formatted only for violations.
     """
     v: list[Violation] = []
     defined: dict[str, None] = {}  # definition order
@@ -275,11 +275,11 @@ def _find_violations(net: Netlist) -> tuple[Violation, ...]:
                 v.append(redefined(lid, f"gate {idx} output"))
             defined[lid] = None
 
-    for name, lid in net.outputs:
+    for j, (name, lid) in enumerate(net.outputs):
         if lid not in defined:
             v.append(Violation("dangling", f"output {name} references "
                                f"undefined line {lid!r}", (lid,)))
-        sinks.setdefault(lid, []).append(name)
+        sinks.setdefault(lid, []).append(~j)
     for lid in net.garbage:
         if lid not in defined:
             v.append(Violation("dangling", "garbage references undefined "
@@ -289,9 +289,9 @@ def _find_violations(net: Netlist) -> tuple[Violation, ...]:
     def describe(ref) -> str:
         if ref is _GARBAGE:
             return "garbage"
-        if isinstance(ref, int):
-            return f"gate {ref} ({net.gates[ref].kind.value})"
-        return f"output {ref}"
+        if ref < 0:
+            return f"output {net.outputs[~ref][0]}"
+        return f"gate {ref} ({net.gates[ref].kind.value})"
 
     for lid, refs in sinks.items():
         if len(refs) > 1:
@@ -306,9 +306,9 @@ def _find_violations(net: Netlist) -> tuple[Violation, ...]:
 
     out_set = {lid for _, lid in net.outputs}
     if out_set & set(net.garbage):
-        both = sorted(out_set & set(net.garbage))
+        both = sorted(out_set & set(net.garbage), key=str)
         v.append(Violation("role", f"lines declared both output and garbage: "
-                           f"{', '.join(both)}", tuple(both)))
+                           f"{', '.join(map(str, both))}", tuple(both)))
     names: set[str] = set()
     for name, lid in net.outputs:
         if name in names:
@@ -452,21 +452,22 @@ def _vector_count(net: Netlist | None, samples: int | None) -> int:
 
 
 def _vectors(net: Netlist, samples: int | None = None,
-             seed: int | str | None = None) -> tuple[list[int], int]:
-    """The input masks of a check and its all-ones word: the enumeration
-    of every vector when ``samples`` is None, else ``samples`` vectors
-    drawn by :func:`_draw` (see :func:`_vector_count` for the refusals)."""
+             seed: int | None = None,
+             stream: int | None = None) -> tuple[list[int], int]:
+    """The input masks of a check and its all-ones word: every vector when
+    ``samples`` is None, else one ``getrandbits(samples)`` per input from
+    ``Random(seed)``, or ``Random(f"{seed}/{stream}")`` for campaign site
+    ``stream``.  Refusals: :func:`_vector_count`, and an unseeded draw."""
     count = _vector_count(net, samples)
-    masks = (variable_masks(len(net.inputs)) if samples is None
-             else _draw(net, count, seed))
+    if samples is None:
+        masks = variable_masks(len(net.inputs))
+    elif seed is None:
+        raise ValueError("sampled checks require a seed "
+                         "(reports must be reproducible)")
+    else:
+        rng = Random(seed if stream is None else f"{seed}/{stream}")
+        masks = [rng.getrandbits(count) for _ in net.inputs]
     return masks, (1 << count) - 1
-
-
-def _draw(net: Netlist, count: int, seed: int | str | None) -> list[int]:
-    """``count`` seeded vectors as input masks: one ``getrandbits(count)``
-    of ``Random(seed)`` per primary input, in input order."""
-    rng = Random(seed)
-    return [rng.getrandbits(count) for _ in net.inputs]
 
 
 # binary digit -> 0 or 1 << j, for bit j of a byte
@@ -516,11 +517,11 @@ def _input_parity(net: Netlist, input_masks, one: int) -> int:
     return pin
 
 
-def _parity_conserved(net: Netlist, masks, one: int, values: dict) -> bool:
+def _parity_conserved(net: Netlist, masks, one: int, words) -> bool:
     """On every vector, the parity of the input masks ``masks`` and the
-    constants equals the parity of the outputs and garbage in ``values``."""
+    constants equals the parity of the boundary words ``words``."""
     pout = 0
-    for word in _boundary(net, values):
+    for word in words:
         pout ^= word
     return _input_parity(net, masks, one) == pout
 
@@ -531,7 +532,8 @@ def _parity(net: Netlist, samples: int | None = None,
     over every input vector, or over ``samples`` vectors drawn from
     ``seed`` (see :func:`_vectors`)."""
     masks, one = _vectors(net, samples, seed)
-    return _parity_conserved(net, masks, one, evaluate_lines(net, masks, one))
+    words = _boundary(net, evaluate_lines(net, masks, one))
+    return _parity_conserved(net, masks, one, words)
 
 
 def is_parity_preserving_circuit(net: Netlist) -> bool:
@@ -545,16 +547,16 @@ def is_parity_preserving_circuit_sampled(net: Netlist, samples: int,
     """Monte-Carlo parity check for wide netlists over ``samples`` vectors.
 
     Raises ValueError when ``samples`` is below 1, since a check over no
-    vectors would pass without having checked anything, or above
-    ``1 << EXHAUSTIVE_LIMIT``.
+    vectors would check nothing, above ``1 << EXHAUSTIVE_LIMIT``, or when
+    ``seed`` is None, since an unseeded verdict could not be reproduced.
     """
     _check_valid(net)
     return _parity(net, samples, seed)
 
 
-def _injective(net: Netlist, total: int, values: dict) -> bool:
-    """The boundary masks of an exhaustive evaluation over ``total`` vectors
-    have ``total`` distinct rows.
+def _injective(masks, total: int) -> bool:
+    """The boundary masks ``masks`` of an exhaustive evaluation over
+    ``total`` vectors have ``total`` distinct rows.
 
     Each vector's row is packed into one key of ``size`` bytes, with bit
     ``j`` of key byte ``g`` holding boundary line ``8 * g + j``.  A mask is
@@ -569,7 +571,6 @@ def _injective(net: Netlist, total: int, values: dict) -> bool:
     vectors times the boundary width.  With no boundary lines every row is
     empty, and the map is injective iff ``total == 1``.
     """
-    masks = _boundary(net, values)
     groups = (len(masks) + 7) // 8
     size = max(8, groups)
     buf = bytearray(total * size)
@@ -600,9 +601,9 @@ def _exhaustive_verdicts(net: Netlist) -> tuple[bool, bool]:
     for a netlist already known to be valid, from one exhaustive
     evaluation."""
     masks, one = _vectors(net)
-    values = evaluate_lines(net, masks, one)
-    return (_injective(net, one.bit_length(), values),
-            _parity_conserved(net, masks, one, values))
+    words = _boundary(net, evaluate_lines(net, masks, one))
+    return (_injective(words, one.bit_length()),
+            _parity_conserved(net, masks, one, words))
 
 
 def metrics(net: Netlist) -> MetricsReport:

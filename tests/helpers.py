@@ -156,9 +156,9 @@ def reference_validate(net: Netlist) -> list[Violation]:
 
     out_set = {lid for _, lid in net.outputs}
     if out_set & set(net.garbage):
-        both = sorted(out_set & set(net.garbage))
+        both = sorted(out_set & set(net.garbage), key=str)
         v.append(Violation("role", f"lines declared both output and garbage: "
-                           f"{', '.join(both)}", tuple(both)))
+                           f"{', '.join(map(str, both))}", tuple(both)))
 
     for lid in first_defined:
         if not (isinstance(lid, str) and _ID_RE.fullmatch(lid)):

@@ -166,7 +166,7 @@ def test_faults_sampled_requires_seed(capsys):
 def test_sampled_faults_without_a_seed_is_a_usage_error(capsys, design,
                                                         samples):
     assert run(capsys, "faults", design, "--samples", samples) == (
-        2, "", "error: sampled campaigns require a seed (reports must be "
+        2, "", "error: sampled checks require a seed (reports must be "
         "reproducible)\n")
 
 

@@ -511,10 +511,9 @@ def _wide_net(width: int) -> Netlist:
 def _injective_on_rows(net: Netlist, rows) -> bool:
     """``netlist._injective`` over vectors whose boundary rows are given:
     bit v of boundary line i's mask is ``rows[v][i]``."""
-    lids = [lid for _, lid in net.outputs] + list(net.garbage)
-    values = {lid: sum(row[i] << v for v, row in enumerate(rows))
-              for i, lid in enumerate(lids)}
-    return netlist._injective(net, len(rows), values)
+    words = [sum(row[i] << v for v, row in enumerate(rows))
+             for i in range(net.boundary_out_width())]
+    return netlist._injective(words, len(rows))
 
 
 @pytest.mark.parametrize("width", KEY_WIDTHS)
@@ -643,6 +642,15 @@ def test_every_sampled_check_refuses_zero_samples_with_one_message():
         is_parity_preserving_circuit_sampled(build_full_adder(), 0, 0)
     assert (str(campaign.value) == str(parity_check.value)
             == "sample count must be positive, got 0")
+
+
+def test_every_sampled_check_refuses_a_missing_seed_with_one_message():
+    with pytest.raises(ValueError) as campaign:
+        run_campaign(build_full_adder(), "flip", samples=8)
+    with pytest.raises(ValueError) as parity_check:
+        is_parity_preserving_circuit_sampled(build_full_adder(), 8, None)
+    assert (str(campaign.value) == str(parity_check.value)
+            == "sampled checks require a seed (reports must be reproducible)")
 
 
 def test_fault_transforms():

@@ -3,10 +3,14 @@
 import json
 import re
 from dataclasses import replace
+from itertools import combinations, product
 
 import pytest
 
-from revadd import CostVector, build_table1, emit_table1, ledger_cost, report
+from revadd import (CostVector, GateKind, build_table1, emit_table1,
+                    ledger_cost, report)
+from revadd.gates import EVAL
+from revadd.netlist import variable_masks
 from revadd.report import PUBLISHED_ROWS
 
 
@@ -120,3 +124,44 @@ def test_text_rendering_builds_no_records(monkeypatch):
 def test_unknown_report_format_is_refused():
     with pytest.raises(ValueError, match="unknown report format 'csv'"):
         emit_table1("csv")
+
+
+def test_no_fanout_free_frg_circuit_is_a_full_adder():
+    # The ftfa_frg and rca4_frg rows quote 4 FRG gates and 2 constants; no
+    # fanout-free placement of 1-4 FRG gates on (a, b, cin, k0, k1), under
+    # any constant polarity, holds both the sum and the carry.  A state is
+    # the sorted words of the five lines over all 8 vectors: every gate
+    # consumes three lines and yields three, and FRG with its two targets
+    # swapped yields the same lines swapped, so each control and unordered
+    # target pair is one placement.
+    a, b, cin = variable_masks(3)
+    one = 0xFF
+    total, carry = a ^ b ^ cin, (a & b) | (a & cin) | (b & cin)
+    frg = EVAL[GateKind.FRG]
+    reached = {"sum": False, "carry": False}
+    for k0, k1 in product((0, one), repeat=2):
+        level = [tuple(sorted((a, b, cin, k0, k1)))]
+        seen = set(level)
+        for _ in range(4):
+            following = []
+            for state in level:
+                for c, t1, t2 in _placements(5):
+                    rest = [w for i, w in enumerate(state)
+                            if i not in (c, t1, t2)]
+                    rest += frg((state[c], state[t1], state[t2]), one)
+                    nxt = tuple(sorted(rest))
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        following.append(nxt)
+            level = following
+        assert not any(total in s and carry in s for s in seen)
+        reached["sum"] |= any(total in s for s in seen)
+        reached["carry"] |= any(carry in s for s in seen)
+    # each alone is reachable, so the search is not blind to either
+    assert reached == {"sum": True, "carry": True}
+
+
+def _placements(n):
+    """``(control, target, target)`` line indices, targets unordered."""
+    return [(c, t1, t2) for c in range(n)
+            for t1, t2 in combinations(range(n), 2) if c not in (t1, t2)]

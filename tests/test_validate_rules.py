@@ -62,7 +62,27 @@ def test_validate_refuses_what_the_parser_cannot_read_back(net, message):
     (_gate_output(("y",)), ["invalid line id ('y',)"]),
     (_wire(name=7), ["netlist name 7 is not a string"]),
     (_wire(output=None), ["output name None is not a string"]),
-], ids=["int id", "tuple id", "int name", "None output name"])
+    (Netlist("t", ["a"], [], [], [(7, "a")], ["a"]),
+     ["line 'a' feeds 2 sinks: output 7, garbage",
+      "lines declared both output and garbage: a",
+      "output name 7 is not a string"]),
+    (Netlist("t", ["a", "b"], [],
+             [GateInstance(GateKind.FG, ("a", "b"), ("x", "y"))],
+             [(0, "x"), ("O", "y")], ["x"]),
+     ["line 'x' feeds 2 sinks: output 0, garbage",
+      "lines declared both output and garbage: x",
+      "output name 0 is not a string"]),
+    (Netlist("t", ["a"], [], [], [(None, "a")], ["a"]),
+     ["line 'a' feeds 2 sinks: output None, garbage",
+      "lines declared both output and garbage: a",
+      "output name None is not a string"]),
+    (Netlist("t", [5], [], [], [("O", 5)], [5]),
+     ["line 5 feeds 2 sinks: output O, garbage",
+      "lines declared both output and garbage: 5",
+      "invalid line id 5"]),
+], ids=["int id", "tuple id", "int name", "None output name",
+        "int output name out of gate range", "int output name of a gate",
+        "None output name with fanout", "int id output and garbage"])
 def test_validate_reports_ids_and_names_that_are_not_strings(net, messages):
     assert [v.message for v in validate(net)] == messages
 
