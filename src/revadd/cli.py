@@ -190,7 +190,7 @@ def _cmd_sim(args) -> int:
     result = simulate(net, bits)
     for line in _format_outputs(net, result):
         print(line)
-    print(f"garbage = {''.join(str(b) for b in result.garbage)}")
+    print(f"garbage = {''.join(map(str, result.garbage))}")
     return 0
 
 

@@ -14,6 +14,9 @@ bitmask with one bit per test vector, and the gate expressions from
 special case.  A netlist is compiled once, on its first evaluation, into a
 slot program kept on the instance: each line's value lives at a fixed index
 of a list, and each gate reads its input slots with one ``itemgetter``.
+The evaluator returns that list, one word per line in
+:meth:`Netlist.all_lines` order, and the checks read the boundary (outputs,
+then garbage) from it by slot.
 """
 
 from __future__ import annotations
@@ -67,14 +70,15 @@ class GateInstance:
 class _Program(NamedTuple):
     """The slot-compiled form of a netlist that :func:`evaluate_lines` runs.
 
-    Slot ``s`` holds the value of line ``lines[s]``; the slots follow
-    :meth:`Netlist.all_lines`, so a gate's outputs are appended in order
-    right after the gate runs.
+    The slots follow :meth:`Netlist.all_lines`, so a gate's outputs are
+    appended in order right after the gate runs.  ``boundary`` holds the
+    slots of the outputs in declared order, then of the garbage, which is
+    how :func:`_boundary` reads them.
     """
 
-    lines: tuple[str, ...]        # slot -> line id
     slot: dict[str, int]          # line id -> slot
     steps: tuple[tuple[GateKind, Callable], ...]  # (kind, input-slot reader)
+    boundary: tuple[int, ...]     # output slots, then garbage slots
 
 
 @dataclass(frozen=True)
@@ -106,11 +110,13 @@ class Netlist:
 
     @cached_property
     def _program(self) -> _Program:
-        lines = tuple(self.all_lines())
+        lines = self.all_lines()
         slot = dict(zip(lines, range(len(lines))))
         read = slot.__getitem__
         steps = [(g.kind, itemgetter(*map(read, g.inputs))) for g in self.gates]
-        return _Program(lines, slot, tuple(steps))
+        boundary = [read(lid) for _, lid in self.outputs]
+        boundary += map(read, self.garbage)
+        return _Program(slot, tuple(steps), tuple(boundary))
 
     def all_lines(self) -> list[str]:
         """Every line id in deterministic source order."""
@@ -230,8 +236,65 @@ def validate(net: Netlist) -> list[Violation]:
 _GARBAGE = None  # sink reference of a garbage declaration
 
 
+class _Shown:
+    """Stands in for an id or output name that cannot key a dict, so the
+    one pass of :func:`_find_violations` reports it as ``[role]``, like any
+    id or name that is not a string: equal to a stand-in for an equal
+    value, and shown as the value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return isinstance(other, _Shown) and self.value == other.value
+
+    def __hash__(self):
+        return 0  # the value has no hash; only invalid netlists collide
+
+    def __repr__(self):
+        return repr(self.value)
+
+
+def _keyable(net: Netlist) -> Netlist:
+    """A copy of ``net`` with each id or output name that cannot key a dict
+    behind a :class:`_Shown` stand-in."""
+
+    def key(x):
+        if isinstance(x, str):
+            return x
+        try:
+            hash(x)
+        except TypeError:
+            return _Shown(x)
+        return x
+
+    def keys(xs):
+        return tuple(map(key, xs))
+
+    return Netlist(
+        net.name, keys(net.inputs),
+        [(key(lid), val) for lid, val in net.constants],
+        [GateInstance(g.kind, keys(g.inputs), keys(g.outputs))
+         for g in net.gates],
+        [(key(name), key(lid)) for name, lid in net.outputs],
+        keys(net.garbage))
+
+
 def _find_violations(net: Netlist) -> tuple[Violation, ...]:
     """The violations of ``net``, in the order :func:`validate` reports them.
+
+    A netlist of strings is judged as it is.  When an id or name cannot key
+    a dict, the pass raises ``TypeError`` and is run again on
+    :func:`_keyable`'s stand-ins, so a netlist of strings pays no per-id
+    test."""
+    try:
+        return _judge(net)
+    except TypeError:
+        return _judge(_keyable(net))
+
+
+def _judge(net: Netlist) -> tuple[Violation, ...]:
+    """The one pass of :func:`_find_violations` over ids that key a dict.
 
     A line's sinks are kept as cheap references (gate index ``i``, ``~j``
     for output ``j``, or ``_GARBAGE``), in first-sink order; descriptions
@@ -339,8 +402,11 @@ def _check_valid(net: Netlist):
             f"netlist {net.name!r} is not valid: " + "; ".join(map(str, problems)))
 
 
-def evaluate_lines(net: Netlist, input_masks, one: int, fault=None) -> dict:
-    """Word-parallel evaluation: map every line id to its value mask.
+def evaluate_lines(net: Netlist, input_masks, one: int,
+                   fault=None) -> list[int]:
+    """Word-parallel evaluation: the value mask of every line, one word per
+    line in :meth:`Netlist.all_lines` order (the slot order of the
+    program).
 
     ``input_masks`` aligns with ``net.inputs``; ``one`` is the all-ones mask
     (1 for scalar runs).  ``fault``, when given, maps faulted line ids to
@@ -352,9 +418,11 @@ def evaluate_lines(net: Netlist, input_masks, one: int, fault=None) -> dict:
     :func:`revadd.faults.run_campaign`).  An unknown model raises
     ``ValueError``; ids the netlist lacks are ignored.
 
-    Runs the netlist's slot program (compiled on the first call).  Each
-    pass looks its gates up in ``revadd.gates.EVAL`` afresh, so the program
-    never holds a gate function.
+    Runs the netlist's slot program (compiled on the first call) and
+    returns its slot list as is; :func:`_boundary` reads the outputs and
+    garbage from it by slot.  Each pass looks its gates up in
+    ``revadd.gates.EVAL`` afresh, so the program never holds a gate
+    function.
     """
     prog = net._program
     values = list(input_masks)
@@ -379,7 +447,7 @@ def evaluate_lines(net: Netlist, input_masks, one: int, fault=None) -> dict:
             values[s] = transform(values[s], mask)
     for kind, read in steps:
         put(EVAL[kind](read(values), one))
-    return dict(zip(prog.lines, values))
+    return values
 
 
 def simulate(net: Netlist, bits) -> SimResult:
@@ -402,10 +470,9 @@ def _simulate_vector(net: Netlist, bits, fault=None) -> SimResult:
 
 def _boundary(net: Netlist, values) -> list[int]:
     """The value words of the outputs in declared order, then the garbage:
-    the output side that parity, reversibility and fault detection judge."""
-    words = [values[lid] for _, lid in net.outputs]
-    words += [values[lid] for lid in net.garbage]
-    return words
+    the output side that parity, reversibility and fault detection judge,
+    read by slot from the :func:`evaluate_lines` list ``values``."""
+    return list(map(values.__getitem__, net._program.boundary))
 
 
 def variable_masks(n: int) -> list[int]:

@@ -90,12 +90,53 @@ def random_fanout_free(rng, name: str, inputs: int, constants: int,
     return nb.finish([(f"O{j}", lid) for j, lid in enumerate(chosen)])
 
 
+class _Unkeyed:
+    """The oracle's stand-in for an id or name that no set can hold: equal
+    to a stand-in for an equal value, and printed as the value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return isinstance(other, _Unkeyed) and self.value == other.value
+
+    def __hash__(self):
+        return 0
+
+    def __repr__(self):
+        return repr(self.value)
+
+
+def _settable(x):
+    """``x``, or its stand-in when no set can hold it."""
+    if isinstance(x, str):
+        return x
+    try:
+        hash(x)
+    except TypeError:
+        return _Unkeyed(x)
+    return x
+
+
+def _settable_ids(xs) -> tuple:
+    return tuple(map(_settable, xs))
+
+
 def reference_validate(net: Netlist) -> list[Violation]:
     """Set-based oracle for :func:`revadd.validate`: a string description
     per sink, and "has no sink" violations in ``set`` order (which follows
     the hash seed).  It knows no duplicate-output-name check.  Ids and
     names the text format cannot read back are matched with this module's
-    own patterns, as :func:`reference_parse_netlist` reads them."""
+    own patterns, as :func:`reference_parse_netlist` reads them; every id
+    and output name goes through :func:`_settable` first."""
+    net = Netlist(net.name, _settable_ids(net.inputs),
+                  [(_settable(lid), val) for lid, val in net.constants],
+                  [GateInstance(g.kind, _settable_ids(g.inputs),
+                                _settable_ids(g.outputs))
+                   for g in net.gates],
+                  [(_settable(name), _settable(lid))
+                   for name, lid in net.outputs],
+                  _settable_ids(net.garbage))
     v: list[Violation] = []
     defined: set[str] = set()
     first_defined: list[str] = []

@@ -58,7 +58,8 @@ def test_criterion_2_arithmetic_oracles():
             masks[16 + i] |= ((b >> i) & 1) << pos
         masks[32] |= c << pos
     nvec += len(extra)
-    values = evaluate_lines(net, masks, (1 << nvec) - 1)
+    values = dict(zip(net.all_lines(),
+                      evaluate_lines(net, masks, (1 << nvec) - 1)))
 
     def unpack(mask):
         raw = mask.to_bytes((nvec + 7) // 8, "little")

@@ -38,7 +38,8 @@ def _killed(idx, sub, mutant) -> bool:
         return True
     n = len(mutant.inputs)
     one = (1 << (1 << n)) - 1
-    values = evaluate_lines(mutant, variable_masks(n), one)
+    values = dict(zip(mutant.all_lines(),
+                      evaluate_lines(mutant, variable_masks(n), one)))
     ins = [values[lid] for lid in mutant.gates[idx].inputs]
     skew = 0
     for word in (*ins, *EVAL[sub](ins, one)):

@@ -57,7 +57,7 @@ def test_validate_refuses_what_the_parser_cannot_read_back(net, message):
         assert not any("[role]" in d.message for d in err.diagnostics)
 
 
-@pytest.mark.parametrize("net, messages", [
+NOT_STRINGS = [
     (_wire(lid=5), ["invalid line id 5"]),
     (_gate_output(("y",)), ["invalid line id ('y',)"]),
     (_wire(name=7), ["netlist name 7 is not a string"]),
@@ -80,11 +80,40 @@ def test_validate_refuses_what_the_parser_cannot_read_back(net, message):
      ["line 5 feeds 2 sinks: output O, garbage",
       "lines declared both output and garbage: 5",
       "invalid line id 5"]),
-], ids=["int id", "tuple id", "int name", "None output name",
-        "int output name out of gate range", "int output name of a gate",
-        "None output name with fanout", "int id output and garbage"])
+    (Netlist("t", [["a"]], [], [], [("O", ["a"])]),
+     ["invalid line id ['a']"]),
+    (Netlist("t", ["a"], [], [], [(["O"], "a")]),
+     ["output name ['O'] is not a string"]),
+]
+NOT_STRING_IDS = [
+    "int id", "tuple id", "int name", "None output name",
+    "int output name out of gate range", "int output name of a gate",
+    "None output name with fanout", "int id output and garbage",
+    "unhashable id", "unhashable output name"]
+
+
+@pytest.mark.parametrize("net, messages", NOT_STRINGS, ids=NOT_STRING_IDS)
 def test_validate_reports_ids_and_names_that_are_not_strings(net, messages):
     assert [v.message for v in validate(net)] == messages
+
+
+@pytest.mark.parametrize("net, messages", NOT_STRINGS, ids=NOT_STRING_IDS)
+def test_reference_validate_reports_non_strings_alike(net, messages):
+    assert [v.message for v in reference_validate(net)] == messages
+
+
+def test_unhashable_ids_are_judged_like_other_lines():
+    """A list id still takes part in the structural rules: an output that
+    reads a list no source defines dangles, and the list input is left
+    without a sink."""
+    net = Netlist("t", [["a"]], [], [], [("O", ["b"])], [[1]])
+    want = ["output O references undefined line ['b']",
+            "garbage references undefined line [1]",
+            "line ['a'] has no sink; it must be consumed, a primary "
+            "output, or garbage",
+            "invalid line id ['a']"]
+    assert [v.message for v in validate(net)] == want
+    assert [v.message for v in reference_validate(net)] == want
 
 
 def test_builder_refuses_an_unreadable_gate_output():
