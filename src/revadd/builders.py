@@ -18,19 +18,19 @@ from .netlist import Netlist, NetlistBuilder
 MIG = GateKind.MIG
 F2G = GateKind.F2G
 NFT = GateKind.NFT
+BLOCK = 4  # operand bits per carry-skip block; _csa_block builds only these
 
 
 @dataclass(frozen=True)
 class AdderSpec:
-    """Operand geometry of one design."""
+    """Operand geometry of a carry-skip design, in whole blocks."""
 
     width: int
-    block_size: int | None = None
 
     def __post_init__(self):
         if self.width < 1:
             raise ValueError("operand width must be positive")
-        if self.block_size is not None and self.width % self.block_size:
+        if self.width % BLOCK:
             raise ValueError("width must be a whole number of blocks")
 
 
@@ -175,10 +175,10 @@ def _carry_skip_adder(name: str, spec: AdderSpec) -> Netlist:
     b = [nb.input(f"b{i}") for i in range(spec.width)]
     carry = nb.input("cin")
     outs = []
-    nblocks = spec.width // spec.block_size
+    nblocks = spec.width // BLOCK
     for blk in range(nblocks):
-        lo = blk * spec.block_size
-        hi = lo + spec.block_size
+        lo = blk * BLOCK
+        hi = lo + BLOCK
         tag = f"b{blk}_" if nblocks > 1 else ""
         sums, carry = _csa_block(nb, a[lo:hi], b[lo:hi], carry, tag)
         outs.extend((f"S{lo + i}", s) for i, s in enumerate(sums))
@@ -189,12 +189,12 @@ def _carry_skip_adder(name: str, spec: AdderSpec) -> Netlist:
 def build_csa4() -> Netlist:
     """4-bit carry-skip adder: 8 MIG + 4 NFT + 2 F2G, 15 constants,
     19 garbage; behavior identical to the 4-bit ripple-carry adder."""
-    return _carry_skip_adder("csa4", AdderSpec(width=4, block_size=4))
+    return _carry_skip_adder("csa4", AdderSpec(4))
 
 
 def build_hsa16() -> Netlist:
     """16-bit high-speed adder: four 4-bit carry-skip blocks."""
-    return _carry_skip_adder("hsa16", AdderSpec(width=16, block_size=4))
+    return _carry_skip_adder("hsa16", AdderSpec(16))
 
 
 # CLI name -> builder; ``<n>`` stands for the builder's one integer argument

@@ -23,19 +23,21 @@ bytes of one wide word: site j's vectors sit at bit ``8*ceil(nvec/8)*j``
 upward.  The bits between slots are 0 in the inputs and in the all-ones
 word, and every gate keeps them 0.  The faulted run gives each site's line
 the fault mask of its own slot, so one faulted evaluation covers the whole
-batch.  A batch's word is capped at ``WORD_BITS`` bits, which bounds the
-memory of wide exhaustive campaigns; above the cap a batch holds one site.
+batch; one clean evaluation of the same words is its reference, and
+``revadd.netlist._alarm`` its parity alarm.  A batch's word is capped at
+``WORD_BITS`` bits, which bounds the memory of wide exhaustive campaigns;
+above the cap a batch holds one site.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import reduce
+from operator import or_, xor
 
-from .gates import parity
-from .netlist import (FAULT_TRANSFORMS, Netlist, SimResult, _boundary,
-                      _check_valid, _fault_transform, _input_parity,
-                      _simulate_vector, _vector_count, _vectors,
-                      evaluate_lines)
+from .netlist import (FAULT_TRANSFORMS, Netlist, SimResult, _alarm, _boundary,
+                      _check_valid, _fault_transform, _simulate_vector,
+                      _vector_count, _vectors, evaluate_lines)
 
 FAULT_MODELS = tuple(FAULT_TRANSFORMS)
 WORD_BITS = 1 << 16  # widest word a campaign batch packs its sites into
@@ -99,12 +101,13 @@ def simulate_with_fault(net: Netlist, fault: FaultSite, bits) -> SimResult:
 
 def parity_detects(net: Netlist, fault_free_inputs, observed) -> bool:
     """Parity alarm: input-side parity (inputs plus declared constants)
-    differs from the observed boundary parity (outputs plus garbage).
+    differs from the observed boundary parity (outputs plus garbage): the
+    one-vector :func:`revadd.netlist._alarm`.
 
     Meaningful as a fault detector only for circuits built from
     parity-preserving kinds, where a fault-free run never alarms.
     """
-    return _input_parity(net, fault_free_inputs, 1) != parity(observed)
+    return bool(_alarm(net, fault_free_inputs, 1, observed))
 
 
 def _pack(words, nbytes: int) -> int:
@@ -135,11 +138,12 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
 
     Sites run in batches of ``max(1, WORD_BITS // slot)``, where a slot is
     ``nvec`` rounded up to whole bytes (layout in the module docstring).
-    Per batch there is one faulted evaluation, plus one fault-free one in
-    sampled mode, of which only the boundary words are kept; in exhaustive
-    mode every site shares the vectors, so the fault-free run is made once
-    over 2^n bits and its inputs and boundary values are tiled across the
-    slots (one slot's bytes repeated) once per batch size.
+    Each batch has one faulted pass and one clean pass at batch width, of
+    which only the boundary words and the input parity (``_alarm``) are
+    kept.  Sampled batches pack their sites' own streams and make their own
+    clean pass; exhaustive sites share the enumeration, so it is tiled
+    across the slots and its clean pass made once and reused, a short last
+    batch reading only the low slots.
     """
     _check_valid(net)
     _fault_transform(model)
@@ -154,40 +158,37 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
     per_batch = max(1, WORD_BITS // slot)
 
     nout = len(net.outputs)
-    if samples is None:
-        shared_masks, _ = _vectors(net)
-        shared_base = _boundary(net, evaluate_lines(net, shared_masks, one))
-        tiled = {}  # batch size -> (masks, ones, base, input parity)
+    if samples is None:  # every batch shares the vectors: one clean pass
+        width = min(per_batch, len(lines))
+        masks = [_tile(m, width, nbytes) for m in _vectors(net)[0]]
+        ones = _tile(one, width, nbytes)
+        base = _boundary(net, evaluate_lines(net, masks, ones))
+        pin = _alarm(net, masks, ones, ())
 
     detected = silent = corrupting = 0
     prim_seen = prim_missed = 0
     for start in range(0, len(lines), per_batch):
         batch = lines[start:start + per_batch]
-        k = len(batch)
-        if samples is None:
-            if k not in tiled:
-                masks = [_tile(m, k, nbytes) for m in shared_masks]
-                ones = _tile(one, k, nbytes)
-                base = [_tile(w, k, nbytes) for w in shared_base]
-                tiled[k] = masks, ones, base, _input_parity(net, masks, ones)
-            masks, ones, base, pin = tiled[k]
-        else:
+        if samples is not None:
             streams = [_vectors(net, samples, seed, start + j)[0]
-                       for j in range(k)]
+                       for j in range(len(batch))]
             masks = [_pack(column, nbytes) for column in zip(*streams)]
-            ones = _tile(one, k, nbytes)
+            ones = _tile(one, len(batch), nbytes)
             base = _boundary(net, evaluate_lines(net, masks, ones))
-            pin = _input_parity(net, masks, ones)
+            pin = _alarm(net, masks, ones, ())
+        elif len(batch) < width:  # a short last batch keeps its low slots
+            cut = (1 << slot * len(batch)) - 1
+            masks = [m & cut for m in masks]
+            ones &= cut
+            base = [w & cut for w in base]
+            pin &= cut
         fault = {lid: (model, one << (slot * j))
                  for j, lid in enumerate(batch)}
         faulted = _boundary(net, evaluate_lines(net, masks, ones, fault))
-        pout = diff = pdiff = 0
-        for word, clean in zip(faulted, base):
-            pout ^= word
-            diff |= word ^ clean
-        for word, clean in zip(faulted[:nout], base):
-            pdiff |= word ^ clean
-        alarm = pin ^ pout
+        alarm = reduce(xor, faulted, pin)
+        changed = list(map(xor, faulted, base))
+        diff = reduce(or_, changed, 0)
+        pdiff = reduce(or_, changed[:nout], 0)
         detected += alarm.bit_count()
         quiet = ones & ~alarm
         silent += (quiet & ~diff).bit_count()

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import repeat
-from operator import itemgetter
+from operator import itemgetter, xor
 from random import Random
 from typing import Callable, NamedTuple
 
@@ -315,7 +315,7 @@ def _judge(net: Netlist) -> tuple[Violation, ...]:
         if lid in defined:
             v.append(redefined(lid, "constant"))
         defined[lid] = None
-        if val not in (0, 1):
+        if type(val) is not int or val not in (0, 1):  # text reads 0 or 1
             v.append(Violation("role", f"constant {lid!r} has polarity {val!r}",
                                (lid,)))
 
@@ -573,34 +573,27 @@ def truth_table(net: Netlist):
                     _rows(words[nout:], total)))
 
 
-def _input_parity(net: Netlist, input_masks, one: int) -> int:
-    """Input-side parity word: the XOR of the primary-input masks and of
-    every constant (all-ones word ``one`` for a 1)."""
-    pin = 0
-    for m in input_masks:
-        pin ^= m
+def _alarm(net: Netlist, masks, one: int, words) -> int:
+    """The parity alarm word: the XOR of the input masks ``masks``, of the
+    all-ones word ``one`` for each constant of polarity 1, and of the
+    boundary words ``words``.  Bit v is set where vector v's input parity
+    differs from the parity of ``words``; with no ``words`` it is the input
+    parity itself."""
+    alarm = reduce(xor, words, reduce(xor, masks, 0))
     for _, pol in net.constants:
-        pin ^= one if pol else 0
-    return pin
-
-
-def _parity_conserved(net: Netlist, masks, one: int, words) -> bool:
-    """On every vector, the parity of the input masks ``masks`` and the
-    constants equals the parity of the boundary words ``words``."""
-    pout = 0
-    for word in words:
-        pout ^= word
-    return _input_parity(net, masks, one) == pout
+        if pol:
+            alarm ^= one
+    return alarm
 
 
 def _parity(net: Netlist, samples: int | None = None,
             seed: int | None = None) -> bool:
-    """Boundary parity conservation of a netlist already known to be valid,
-    over every input vector, or over ``samples`` vectors drawn from
-    ``seed`` (see :func:`_vectors`)."""
+    """Boundary parity conservation of a netlist already known to be valid:
+    no vector raises the :func:`_alarm`, over every input vector or over
+    ``samples`` vectors drawn from ``seed`` (see :func:`_vectors`)."""
     masks, one = _vectors(net, samples, seed)
     words = _boundary(net, evaluate_lines(net, masks, one))
-    return _parity_conserved(net, masks, one, words)
+    return not _alarm(net, masks, one, words)
 
 
 def is_parity_preserving_circuit(net: Netlist) -> bool:
@@ -670,7 +663,7 @@ def _exhaustive_verdicts(net: Netlist) -> tuple[bool, bool]:
     masks, one = _vectors(net)
     words = _boundary(net, evaluate_lines(net, masks, one))
     return (_injective(words, one.bit_length()),
-            _parity_conserved(net, masks, one, words))
+            not _alarm(net, masks, one, words))
 
 
 def metrics(net: Netlist) -> MetricsReport:

@@ -153,7 +153,7 @@ def reference_validate(net: Netlist) -> list[Violation]:
         define(lid, "input")
     for lid, val in net.constants:
         define(lid, "constant")
-        if val not in (0, 1):
+        if type(val) is not int or val not in (0, 1):
             v.append(Violation("role", f"constant {lid!r} has polarity {val!r}",
                                (lid,)))
 

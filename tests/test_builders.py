@@ -146,10 +146,10 @@ def test_rca_garbage_and_constants_scale_linearly():
 
 
 def test_adder_spec_invariants():
-    spec = AdderSpec(width=16, block_size=4)
-    assert spec.width // spec.block_size == 4
-    with pytest.raises(ValueError, match="whole number of blocks"):
-        AdderSpec(width=16, block_size=5)
+    assert AdderSpec(16).width == 16
+    for width in (2, 6, 18):
+        with pytest.raises(ValueError, match="whole number of blocks"):
+            AdderSpec(width)
     with pytest.raises(ValueError, match="positive"):
         AdderSpec(width=0)
 

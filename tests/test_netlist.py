@@ -48,8 +48,10 @@ def _read_twice(nb):
      "[width] gate 0 (MIG) has 3 inputs"),
     (lambda nb: nb.input("a"), "[role] line 'a' defined more than once"),
     (lambda nb: nb.const("c", 2), "[role] constant 'c' has polarity 2"),
+    (lambda nb: nb.const("c", True), "[role] constant 'c' has polarity True"),
+    (lambda nb: nb.const("c", 1.0), "[role] constant 'c' has polarity 1.0"),
 ], ids=["read-twice", "undefined-input", "mig-arity", "defined-twice",
-        "polarity-2"])
+        "polarity-2", "polarity-True", "polarity-1.0"])
 def test_builder_records_mistakes_and_finish_refuses_them(mistake, named):
     nb = NetlistBuilder("bad")
     nb.input("a")

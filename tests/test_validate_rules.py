@@ -42,6 +42,8 @@ UNREADABLE = [
     (_wire(output=""), "output name '' is empty or holds whitespace or '#'"),
     (_wire(output="#O"), "output name '#O' is empty or holds whitespace "
                          "or '#'"),
+    (Netlist("t", [], [("k", True)], [], [("O", "k")]),
+     "constant 'k' has polarity True"),
 ]
 
 
