@@ -17,17 +17,23 @@ of a list, and each gate reads its input slots with one ``itemgetter``.
 The evaluator returns that list, one word per line in
 :meth:`Netlist.all_lines` order, and the checks read the boundary (outputs,
 then garbage) from it by slot.
+
+Truth tables and the reversibility check read the boundary words as byte
+columns, one byte per vector for each group of 8 lines (:func:`_columns`).
+A truth table builds its rows from shared row tables indexed by those
+bytes, so equal rows share one tuple and a table allocates about one tuple
+per vector.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import repeat
-from operator import itemgetter, xor
+from operator import getitem, itemgetter, xor
 from random import Random
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .gates import ARITY, EVAL, CostVector, GateKind, ledger_cost
 
@@ -293,6 +299,12 @@ def _find_violations(net: Netlist) -> tuple[Violation, ...]:
         return _judge(_keyable(net))
 
 
+def _tag(kind) -> str:
+    """How a violation names a gate's kind: a :class:`GateKind`'s tag, or
+    the ``repr`` of a kind that is not one."""
+    return kind.value if isinstance(kind, GateKind) else repr(kind)
+
+
 def _judge(net: Netlist) -> tuple[Violation, ...]:
     """The one pass of :func:`_find_violations` over ids that key a dict.
 
@@ -321,8 +333,11 @@ def _judge(net: Netlist) -> tuple[Violation, ...]:
 
     sinks: dict[str, list] = {}
     for idx, g in enumerate(net.gates):
-        n = ARITY[g.kind]
-        if len(g.inputs) != n or len(g.outputs) != n:
+        n = ARITY[g.kind] if isinstance(g.kind, GateKind) else None
+        if n is None:
+            v.append(Violation("role", f"gate {idx} has unknown kind "
+                               f"{g.kind!r}", g.inputs + g.outputs))
+        elif len(g.inputs) != n or len(g.outputs) != n:
             v.append(Violation(
                 "width", f"gate {idx} ({g.kind.value}) has {len(g.inputs)} "
                 f"inputs/{len(g.outputs)} outputs, arity is {n}",
@@ -330,7 +345,7 @@ def _judge(net: Netlist) -> tuple[Violation, ...]:
         for lid in g.inputs:
             if lid not in defined:
                 v.append(Violation(
-                    "order", f"gate {idx} ({g.kind.value}) reads {lid!r} "
+                    "order", f"gate {idx} ({_tag(g.kind)}) reads {lid!r} "
                     "before any earlier source defines it", (lid,)))
             sinks.setdefault(lid, []).append(idx)
         for lid in g.outputs:
@@ -354,7 +369,7 @@ def _judge(net: Netlist) -> tuple[Violation, ...]:
             return "garbage"
         if ref < 0:
             return f"output {net.outputs[~ref][0]}"
-        return f"gate {ref} ({net.gates[ref].kind.value})"
+        return f"gate {ref} ({_tag(net.gates[ref].kind)})"
 
     for lid, refs in sinks.items():
         if len(refs) > 1:
@@ -541,17 +556,72 @@ def _vectors(net: Netlist, samples: int | None = None,
 _DIGIT_BITS = [bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8)]
 
 
+def _columns(masks, total: int):
+    """Yield one byte column per group of 8 masks: byte ``v`` of column
+    ``g`` has bit ``j`` set where bit ``v`` of mask ``8 * g + j`` is set,
+    for v in 0..total-1.
+
+    A mask is written out once as a binary string (high bit first), each
+    digit is translated to 0 or ``1 << j``, and the group's strings are read
+    as big-endian ints and ORed, so byte ``v`` of their little-endian form
+    is the group's byte of vector ``v``.  Every step is one C-level pass
+    over ``total`` digits or bytes."""
+    fmt = f"0{total}b"
+    for g in range(0, len(masks), 8):
+        column = 0
+        for table, m in zip(_DIGIT_BITS, masks[g:g + 8]):
+            column |= int.from_bytes(
+                format(m, fmt).encode("ascii").translate(table), "big")
+        yield column.to_bytes(total, "little")
+
+
+@cache
+def _byte_rows(k: int) -> tuple[tuple[int, ...], ...]:
+    """All 2^k rows of k <= 8 bits in order, row v holding bit j of v at
+    position j; built on first use and shared by every later call (at most
+    511 rows over k = 0..8)."""
+    return tuple(tuple((v >> j) & 1 for j in range(k)) for v in range(1 << k))
+
+
+def _enumeration(k: int) -> Sequence[tuple[int, ...]]:
+    """All 2^k rows of k bits in order, row v holding bit j of v at
+    position j.  Up to 8 bits this is the shared :func:`_byte_rows` table;
+    above, row ``v`` is the 8-bit row of its low byte joined to the row of
+    ``v >> 8``, one new tuple per row."""
+    if k <= 8:
+        return _byte_rows(k)
+    low = _byte_rows(8)
+    return [lo + hi for hi in _enumeration(k - 8) for lo in low]
+
+
 def _rows(masks, total: int):
     """Transpose packed masks into per-vector rows: row v is the tuple of
     bit v of every mask, for v in 0..total-1.
 
-    Each mask is written out once as a binary string (low bit first), so
-    the cost is linear in ``total * len(masks)``; extracting bit v with a
-    shift would copy the whole mask per vector.  With no masks there are
-    still ``total`` rows, all empty.
+    A group of k <= 8 masks reads each row from the shared
+    :func:`_byte_rows` table, indexed by its :func:`_columns` byte.  One of
+    9 to 16 masks over at least 8 vectors per possible row (2^(k+3) <=
+    ``total``) reads it from 256-row pages of :func:`_enumeration`, built
+    for the call and indexed by its high and low bytes.  Equal rows then
+    share one tuple, and no call builds more tuples than it returns rows.
+    Other groups are transposed with ``zip`` over one 0/1 byte string per
+    mask: a page row costs a few ``zip`` rows to build, so with fewer
+    vectors per row the pages cost more than they save.  Either way the
+    cost is linear in ``total * len(masks)``; extracting bit v with a shift
+    would copy the whole mask per vector.  With no masks there are still
+    ``total`` rows, all empty.
     """
-    if not masks:
+    k = len(masks)
+    if not k:
         return repeat((), total)
+    if k <= 8:
+        col, = _columns(masks, total)
+        return map(_byte_rows(k).__getitem__, col)
+    if k <= 16 and 1 << (k + 3) <= total:
+        lo, hi = _columns(masks, total)
+        rows = _enumeration(k)
+        pages = [rows[i:i + 256] for i in range(0, len(rows), 256)]
+        return map(getitem, map(pages.__getitem__, hi), lo)
     fmt = f"0{total}b"
     return zip(*(format(m, fmt)[::-1].encode("ascii").translate(_DIGIT_BITS[0])
                  for m in masks))
@@ -561,15 +631,19 @@ def truth_table(net: Netlist):
     """Rows of (inputs, outputs, garbage) over all primary-input vectors in
     lexicographic order (vector index counts input 0 as the low bit).
 
-    One word-parallel evaluation plus one transpose per boundary line:
-    linear in the number of vectors times the boundary width.
+    One word-parallel evaluation plus one linear transpose per boundary
+    group: linear in the number of vectors times the boundary width.  The
+    input rows are :func:`_enumeration`'s and the output and garbage rows
+    :func:`_rows`', so a row is about one new tuple per vector: the
+    ``(ins, outs, garb)`` triple, plus the input tuple above 8 inputs and
+    the side tuples of groups too wide for the shared tables.
     """
     _check_valid(net)
     in_masks, one = _vectors(net)
     words = _boundary(net, evaluate_lines(net, in_masks, one))
     total = one.bit_length()
     nout = len(net.outputs)
-    return list(zip(_rows(in_masks, total), _rows(words[:nout], total),
+    return list(zip(_enumeration(len(in_masks)), _rows(words[:nout], total),
                     _rows(words[nout:], total)))
 
 
@@ -618,29 +692,20 @@ def _injective(masks, total: int) -> bool:
     """The boundary masks ``masks`` of an exhaustive evaluation over
     ``total`` vectors have ``total`` distinct rows.
 
-    Each vector's row is packed into one key of ``size`` bytes, with bit
-    ``j`` of key byte ``g`` holding boundary line ``8 * g + j``.  A mask is
-    written out once as a binary string (high bit first), each digit is
-    translated to 0 or ``1 << j``, and the eight columns of group ``g`` are
-    read as big-endian ints and ORed, so byte ``v`` of their little-endian
-    form is key byte ``g`` of vector ``v``; strided slice assignment
-    interleaves the groups into one buffer.  Up to 64 lines a key is 8
+    Each vector's row is packed into one key of ``size`` bytes, with key
+    byte ``g`` holding :func:`_columns`' byte of the vector for group ``g``
+    (boundary lines ``8 * g`` to ``8 * g + 7``); strided slice assignment
+    interleaves the columns into one buffer.  Up to 64 lines a key is 8
     bytes (padded with zero bytes) and is counted as an int of a memoryview
     cast, wider ones as ``bytes`` slices.  Every step is one C-level pass
     over ``total`` bytes or digits, so the cost is linear in the number of
     vectors times the boundary width.  With no boundary lines every row is
     empty, and the map is injective iff ``total == 1``.
     """
-    groups = (len(masks) + 7) // 8
-    size = max(8, groups)
+    size = max(8, (len(masks) + 7) // 8)
     buf = bytearray(total * size)
-    fmt = f"0{total}b"
-    for g in range(groups):
-        column = 0
-        for table, m in zip(_DIGIT_BITS, masks[8 * g:8 * g + 8]):
-            column |= int.from_bytes(
-                format(m, fmt).encode("ascii").translate(table), "big")
-        buf[g::size] = column.to_bytes(total, "little")
+    for g, column in enumerate(_columns(masks, total)):
+        buf[g::size] = column
     if size == 8:
         keys = memoryview(buf).cast("Q")
     else:

@@ -159,18 +159,24 @@ def reference_validate(net: Netlist) -> list[Violation]:
 
     sinks: dict[str, list[str]] = {}
     for idx, g in enumerate(net.gates):
-        n = ARITY[g.kind]
-        if len(g.inputs) != n or len(g.outputs) != n:
-            v.append(Violation(
-                "width", f"gate {idx} ({g.kind.value}) has {len(g.inputs)} "
-                f"inputs/{len(g.outputs)} outputs, arity is {n}",
-                g.inputs + g.outputs))
+        if g.kind in list(GateKind):  # compared by ==, so a list is no error
+            tag = g.kind.value
+            n = ARITY[g.kind]
+            if len(g.inputs) != n or len(g.outputs) != n:
+                v.append(Violation(
+                    "width", f"gate {idx} ({tag}) has {len(g.inputs)} "
+                    f"inputs/{len(g.outputs)} outputs, arity is {n}",
+                    g.inputs + g.outputs))
+        else:
+            tag = repr(g.kind)
+            v.append(Violation("role", f"gate {idx} has unknown kind {tag}",
+                               g.inputs + g.outputs))
         for lid in g.inputs:
             if lid not in defined:
                 v.append(Violation(
-                    "order", f"gate {idx} ({g.kind.value}) reads {lid!r} "
+                    "order", f"gate {idx} ({tag}) reads {lid!r} "
                     "before any earlier source defines it", (lid,)))
-            sinks.setdefault(lid, []).append(f"gate {idx} ({g.kind.value})")
+            sinks.setdefault(lid, []).append(f"gate {idx} ({tag})")
         for lid in g.outputs:
             define(lid, f"gate {idx} output")
 
@@ -255,14 +261,20 @@ def _exhaustive_masks(net: Netlist):
 
 
 def reference_truth_table(net: Netlist):
-    """Per-vector oracle for :func:`revadd.truth_table`: reads bit v out of
-    every packed mask with a shift, one vector at a time (quadratic)."""
+    """Per-vector oracle for :func:`revadd.truth_table`: reads bit v of
+    every packed mask as bit ``v % 8`` of byte ``v // 8`` of its
+    little-endian bytes, one vector at a time.  A shift would copy the mask
+    per vector, which makes 2^16 and 2^17 rows take seconds."""
     n, total, out_masks, garb_masks = _exhaustive_masks(net)
+    size = (total + 7) // 8
+    out_bytes = [m.to_bytes(size, "little") for m in out_masks]
+    garb_bytes = [m.to_bytes(size, "little") for m in garb_masks]
     rows = []
     for v in range(total):
+        byte, bit = v >> 3, v & 7
         ins = tuple((v >> i) & 1 for i in range(n))
-        outs = tuple((m >> v) & 1 for m in out_masks)
-        garb = tuple((m >> v) & 1 for m in garb_masks)
+        outs = tuple((b[byte] >> bit) & 1 for b in out_bytes)
+        garb = tuple((b[byte] >> bit) & 1 for b in garb_bytes)
         rows.append((ins, outs, garb))
     return rows
 

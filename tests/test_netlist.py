@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from itertools import zip_longest
 from random import Random
 
 import pytest
@@ -555,6 +556,72 @@ def test_reversibility_check_fails_at_every_key_size(monkeypatch, width):
     monkeypatch.setitem(gates.EVAL, GateKind.FG, lambda v, one: (v[0], 0))
     assert reference_is_reversible(net) is False
     assert is_reversible_circuit(net) is False
+
+
+def _group_net(inputs: int, outputs: int, garbage: int) -> Netlist:
+    """A netlist of ``inputs`` inputs whose first ``outputs`` boundary
+    lines are named outputs and the next ``garbage`` lines garbage.  Lines
+    beyond the inputs are constants of alternating polarity, and a chain of
+    FG gates turns line i into the XOR of lines 0..i, so a group of k lines
+    over the inputs takes all 2^k values."""
+    nb = NetlistBuilder(f"g{inputs}_{outputs}_{garbage}")
+    lines = [nb.input(f"i{j}") for j in range(inputs)]
+    lines += [nb.const(f"k{j}", j % 2)
+              for j in range(outputs + garbage - inputs)]
+    for j in range(1, len(lines)):
+        lines[j - 1:j + 1] = nb.gate(GateKind.FG, lines[j - 1:j + 1],
+                                     (f"x{j}", f"y{j}"))
+    return nb.finish([(f"O{j}", lid) for j, lid in enumerate(lines[:outputs])])
+
+
+# (inputs, outputs, garbage): input counts on each side of the 8-bit split
+# of the input rows, and output and garbage groups of 0, 1, 8, 9, 16 and 17
+# lines over fewer or more vectors than 2^k, and for 9 to 16 lines over
+# fewer or at least 8 * 2^k vectors, where the rows come from pages
+ROW_EDGES = [
+    (0, 0, 0), (0, 1, 0), (0, 0, 9), (1, 1, 0), (1, 0, 1), (1, 8, 9),
+    (1, 16, 1), (8, 8, 0), (8, 0, 8), (8, 8, 9), (8, 9, 8), (9, 9, 0),
+    (9, 0, 9), (9, 1, 8), (9, 16, 1), (11, 9, 5), (11, 5, 9), (12, 9, 8),
+    (12, 8, 9), (12, 16, 1), (12, 0, 17), (16, 16, 0), (16, 1, 16),
+    (16, 8, 9), (16, 12, 4), (17, 16, 1),
+]
+
+
+@pytest.mark.parametrize("inputs, outputs, garbage", ROW_EDGES,
+                         ids=[f"{n}in-{o}out-{g}garb" for n, o, g in ROW_EDGES])
+def test_truth_table_matches_reference_at_row_table_edges(inputs, outputs,
+                                                          garbage):
+    net = _group_net(inputs, outputs, garbage)
+    assert (len(net.inputs), len(net.outputs), len(net.garbage)) == (
+        inputs, outputs, garbage)
+    assert truth_table(net) == reference_truth_table(net)
+
+
+def test_rows_of_sixteen_masks_read_pages():
+    # 16 masks read 256-row pages from 2^19 vectors on, which a truth table
+    # reaches only at 19 inputs; rows are compared as they come, so neither
+    # side is held whole
+    total = 1 << 19
+    rng = Random(total)
+    masks = [rng.getrandbits(total) for _ in range(16)]
+    cols = [m.to_bytes(total // 8, "little") for m in masks]
+    want = (tuple((c[v >> 3] >> (v & 7)) & 1 for c in cols)
+            for v in range(total))
+    got = netlist._rows(masks, total)
+    assert all(a == b for a, b in zip_longest(got, want))
+
+
+@pytest.mark.parametrize("net", [
+    build_design("fa"), build_design("csa4"), build_design("rca:5"),
+    random_fanout_free(Random(12), "rnd12", 12, 2, 12)],
+    ids=["fa", "csa4", "rca:5", "rnd12"])
+def test_truth_table_rows_share_one_tuple_per_value(net):
+    # a group of k <= 8 lines reads its rows from a shared table, so its
+    # rows are at most 2^k distinct tuples, however many vectors there are
+    rows = truth_table(net)
+    for side, k in ((1, len(net.outputs)), (2, len(net.garbage))):
+        if k <= 8:
+            assert len({id(r[side]) for r in rows}) <= 2 ** k, (side, k)
 
 
 def test_metrics_full_adder_and_zero_case():

@@ -182,3 +182,39 @@ def test_unequal_boundary_widths_always_come_with_a_violation():
         seen.update(v.category for v in found)
     # every per-line check that a width mismatch can fall back on fired
     assert {"fanout", "dangling", "order", "role"} <= seen
+
+
+UNKNOWN_KINDS = [
+    (Netlist("t", ["a", "b"], [],
+             [GateInstance("FG", ("a", "b"), ("x", "y"))], [("O", "x")],
+             ["y"]),
+     ["[role] gate 0 has unknown kind 'FG'"]),
+    (Netlist("t", ["a", "b"], [],
+             [GateInstance(["FG"], ("a", "b"), ("x", "y"))], [("O", "x")],
+             ["y"]),
+     ["[role] gate 0 has unknown kind ['FG']"]),
+    # the order and fanout messages name the kind by its repr
+    (Netlist("t", ["a"], [],
+             [GateInstance("FG", ("a", "b"), ("x", "y")),
+              GateInstance(GateKind.FG, ("a", "y"), ("z", "w"))],
+             [("O", "x")], ["z", "w"]),
+     ["[role] gate 0 has unknown kind 'FG'",
+      "[order] gate 0 ('FG') reads 'b' before any earlier source defines it",
+      "[fanout] line 'a' feeds 2 sinks: gate 0 ('FG'), gate 1 (FG)"]),
+]
+
+
+@pytest.mark.parametrize("net, messages", UNKNOWN_KINDS,
+                         ids=["str kind", "list kind", "str kind in messages"])
+def test_validate_reports_a_gate_kind_that_is_not_a_gate_kind(net, messages):
+    assert [str(v) for v in validate(net)] == messages
+    assert [str(v) for v in reference_validate(net)] == messages
+
+
+@pytest.mark.parametrize("kind", ["FG", ["FG"]], ids=["str", "list"])
+def test_builder_refuses_a_gate_kind_that_is_not_a_gate_kind(kind):
+    nb = NetlistBuilder("t")
+    nb.gate(kind, (nb.input("a"), nb.input("b")), ("x", "y"))
+    with pytest.raises(NetlistError, match=r"\[role\] gate 0 has unknown "
+                                           r"kind"):
+        nb.finish([("O", "x")])
