@@ -26,7 +26,8 @@ the fault mask of its own slot, so one faulted evaluation covers the whole
 batch; one clean evaluation of the same words is its reference, and
 ``revadd.netlist._alarm`` its parity alarm.  A batch's word is capped at
 ``WORD_BITS`` bits, which bounds the memory of wide exhaustive campaigns;
-above the cap a batch holds one site.
+above the cap a batch holds one site.  A short last batch runs at full
+width too, but only its own slots are counted.
 """
 
 from __future__ import annotations
@@ -138,12 +139,15 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
 
     Sites run in batches of ``max(1, WORD_BITS // slot)``, where a slot is
     ``nvec`` rounded up to whole bytes (layout in the module docstring).
-    Each batch has one faulted pass and one clean pass at batch width, of
-    which only the boundary words and the input parity (``_alarm``) are
-    kept.  Sampled batches pack their sites' own streams and make their own
-    clean pass; exhaustive sites share the enumeration, so it is tiled
-    across the slots and its clean pass made once and reused, a short last
-    batch reading only the low slots.
+    Each batch has one faulted pass and one clean pass at the width of a
+    full batch, of which only the boundary words and the input parity
+    (``_alarm``) are kept.  Sampled batches pack their sites' own streams
+    and make their own clean pass; exhaustive sites share the enumeration,
+    so it is tiled across the slots and its clean pass made once and
+    reused.  A batch is counted under ``live``, the all-ones word of its
+    own slots, narrower than ``ones`` only for a short last batch: an empty
+    slot never differs from the clean pass, but a circuit that does not
+    preserve parity can raise its alarm there.
     """
     _check_valid(net)
     _fault_transform(model)
@@ -158,10 +162,10 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
     per_batch = max(1, WORD_BITS // slot)
 
     nout = len(net.outputs)
+    width = min(per_batch, len(lines))
+    live = ones = _tile(one, width, nbytes)
     if samples is None:  # every batch shares the vectors: one clean pass
-        width = min(per_batch, len(lines))
         masks = [_tile(m, width, nbytes) for m in _vectors(net)[0]]
-        ones = _tile(one, width, nbytes)
         base = _boundary(net, evaluate_lines(net, masks, ones))
         pin = _alarm(net, masks, ones, ())
 
@@ -173,28 +177,23 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
             streams = [_vectors(net, samples, seed, start + j)[0]
                        for j in range(len(batch))]
             masks = [_pack(column, nbytes) for column in zip(*streams)]
-            ones = _tile(one, len(batch), nbytes)
             base = _boundary(net, evaluate_lines(net, masks, ones))
             pin = _alarm(net, masks, ones, ())
-        elif len(batch) < width:  # a short last batch keeps its low slots
-            cut = (1 << slot * len(batch)) - 1
-            masks = [m & cut for m in masks]
-            ones &= cut
-            base = [w & cut for w in base]
-            pin &= cut
+        if len(batch) < width:  # a short last batch counts its own slots
+            live = _tile(one, len(batch), nbytes)
         fault = {lid: (model, one << (slot * j))
                  for j, lid in enumerate(batch)}
         faulted = _boundary(net, evaluate_lines(net, masks, ones, fault))
-        alarm = reduce(xor, faulted, pin)
+        alarm = reduce(xor, faulted, pin) & live
         changed = list(map(xor, faulted, base))
         diff = reduce(or_, changed, 0)
         pdiff = reduce(or_, changed[:nout], 0)
         detected += alarm.bit_count()
-        quiet = ones & ~alarm
+        quiet = live & ~alarm
         silent += (quiet & ~diff).bit_count()
         corrupting += (quiet & diff).bit_count()
         prim_seen += pdiff.bit_count()
-        prim_missed += (ones & ~pdiff).bit_count()
+        prim_missed += (live & ~pdiff).bit_count()
 
     judged = detected + corrupting
     coverage = 1.0 if judged == 0 else detected / judged

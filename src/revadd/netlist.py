@@ -78,13 +78,13 @@ class _Program(NamedTuple):
 
     The slots follow :meth:`Netlist.all_lines`, so a gate's outputs are
     appended in order right after the gate runs.  ``boundary`` holds the
-    slots of the outputs in declared order, then of the garbage, which is
-    how :func:`_boundary` reads them.
+    slots of :meth:`Netlist._boundary_lines`, which is how
+    :func:`_boundary` reads them.
     """
 
     slot: dict[str, int]          # line id -> slot
     steps: tuple[tuple[GateKind, Callable], ...]  # (kind, input-slot reader)
-    boundary: tuple[int, ...]     # output slots, then garbage slots
+    boundary: tuple[int, ...]     # slots of Netlist._boundary_lines()
 
 
 @dataclass(frozen=True)
@@ -120,9 +120,8 @@ class Netlist:
         slot = dict(zip(lines, range(len(lines))))
         read = slot.__getitem__
         steps = [(g.kind, itemgetter(*map(read, g.inputs))) for g in self.gates]
-        boundary = [read(lid) for _, lid in self.outputs]
-        boundary += map(read, self.garbage)
-        return _Program(slot, tuple(steps), tuple(boundary))
+        boundary = tuple(map(read, self._boundary_lines()))
+        return _Program(slot, tuple(steps), boundary)
 
     def all_lines(self) -> list[str]:
         """Every line id in deterministic source order."""
@@ -131,6 +130,11 @@ class Netlist:
         for g in self.gates:
             ids.extend(g.outputs)
         return ids
+
+    def _boundary_lines(self) -> list[str]:
+        """The output side's line ids: the outputs in declared order, then
+        the garbage."""
+        return [lid for _, lid in self.outputs] + list(self.garbage)
 
     def boundary_in_width(self) -> int:
         return len(self.inputs) + len(self.constants)
@@ -239,9 +243,6 @@ def validate(net: Netlist) -> list[Violation]:
     return list(net._violations)
 
 
-_GARBAGE = None  # sink reference of a garbage declaration
-
-
 class _Shown:
     """Stands in for an id or output name that cannot key a dict, so the
     one pass of :func:`_find_violations` reports it as ``[role]``, like any
@@ -308,9 +309,11 @@ def _tag(kind) -> str:
 def _judge(net: Netlist) -> tuple[Violation, ...]:
     """The one pass of :func:`_find_violations` over ids that key a dict.
 
-    A line's sinks are kept as cheap references (gate index ``i``, ``~j``
-    for output ``j``, or ``_GARBAGE``), in first-sink order; descriptions
-    are formatted only for violations.
+    A line's sinks are kept as cheap int references, in first-sink order:
+    gate index ``i``, or ``~b`` for position ``b`` of
+    :meth:`Netlist._boundary_lines` (an output, then garbage, as the slot
+    program reads them).  ``describe`` names a reference, and is formatted
+    only for violations.
     """
     v: list[Violation] = []
     defined: dict[str, None] = {}  # definition order
@@ -353,23 +356,18 @@ def _judge(net: Netlist) -> tuple[Violation, ...]:
                 v.append(redefined(lid, f"gate {idx} output"))
             defined[lid] = None
 
-    for j, (name, lid) in enumerate(net.outputs):
-        if lid not in defined:
-            v.append(Violation("dangling", f"output {name} references "
-                               f"undefined line {lid!r}", (lid,)))
-        sinks.setdefault(lid, []).append(~j)
-    for lid in net.garbage:
-        if lid not in defined:
-            v.append(Violation("dangling", "garbage references undefined "
-                               f"line {lid!r}", (lid,)))
-        sinks.setdefault(lid, []).append(_GARBAGE)
+    nout = len(net.outputs)
 
-    def describe(ref) -> str:
-        if ref is _GARBAGE:
-            return "garbage"
-        if ref < 0:
-            return f"output {net.outputs[~ref][0]}"
-        return f"gate {ref} ({_tag(net.gates[ref].kind)})"
+    def describe(ref: int) -> str:
+        if ref >= 0:
+            return f"gate {ref} ({_tag(net.gates[ref].kind)})"
+        return f"output {net.outputs[~ref][0]}" if ~ref < nout else "garbage"
+
+    for b, lid in enumerate(net._boundary_lines()):
+        if lid not in defined:
+            v.append(Violation("dangling", f"{describe(~b)} references "
+                               f"undefined line {lid!r}", (lid,)))
+        sinks.setdefault(lid, []).append(~b)
 
     for lid, refs in sinks.items():
         if len(refs) > 1:
@@ -484,9 +482,9 @@ def _simulate_vector(net: Netlist, bits, fault=None) -> SimResult:
 
 
 def _boundary(net: Netlist, values) -> list[int]:
-    """The value words of the outputs in declared order, then the garbage:
-    the output side that parity, reversibility and fault detection judge,
-    read by slot from the :func:`evaluate_lines` list ``values``."""
+    """The value words of :meth:`Netlist._boundary_lines`: the output side
+    that parity, reversibility and fault detection judge, read by slot from
+    the :func:`evaluate_lines` list ``values``."""
     return list(map(values.__getitem__, net._program.boundary))
 
 

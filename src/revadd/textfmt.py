@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 
 from .gates import ARITY, GateKind
-from .netlist import _ID_RE, GateInstance, Netlist, Violation, validate
+from .netlist import _ID_RE, GateInstance, Netlist, Violation, _tag, validate
 
 FORMAT_VERSION = 1
 _WRAP = 8  # ids per declaration line when serializing
@@ -255,7 +255,7 @@ def serialize(net: Netlist) -> str:
     lines += _wrapped("input", list(net.inputs))
     lines += _wrapped("const", [f"{lid}={val}" for lid, val in net.constants])
     for g in net.gates:
-        lines.append(f"gate {g.kind.value} {' '.join(g.outputs)} "
+        lines.append(f"gate {_tag(g.kind)} {' '.join(g.outputs)} "
                      f"<- {' '.join(g.inputs)}")
     lines += _wrapped("output", [f"{name}={lid}" for name, lid in net.outputs])
     lines += _wrapped("garbage", list(net.garbage))

@@ -306,6 +306,28 @@ def test_campaign_counts_do_not_depend_on_the_batch_layout(monkeypatch,
         _check_against_reference(net, (samples,))
 
 
+@pytest.mark.parametrize("samples", [None, 3], ids=["exhaustive", "sampled"])
+def test_campaign_counts_match_reference_at_every_batch_length(monkeypatch,
+                                                              samples):
+    # a word of p slots for every p up to the site count, so the last batch
+    # takes every length from 1 to p - 1; the circuits raise false alarms,
+    # which the empty slots of a short last batch must not count
+    rng = Random(11)
+    nets = [pg_full_adder()] + [
+        random_fanout_free(rng, f"np{i}", 4, 2, 6, kinds=NON_PARITY_KINDS)
+        for i in range(2)]
+    seed = None if samples is None else 2
+    for net in nets:
+        nvec = (1 << len(net.inputs)) if samples is None else samples
+        slot = 8 * ((nvec + 7) // 8)
+        for model in FAULT_MODELS:
+            want = reference_campaign(net, model, samples, seed)
+            for p in range(1, len(net.all_lines()) + 1):
+                monkeypatch.setattr(faults, "WORD_BITS", slot * p)
+                got = run_campaign(net, model, samples=samples, seed=seed)
+                assert got.to_dict() == want, (net.name, model, p)
+
+
 @pytest.mark.parametrize("design, samples", [
     ("hsa16", 64), ("hsa16", 4096), ("csa4", 2 ** 16 // 5), ("fa", None),
     ("rca:6", None), ("rca:8", None)])

@@ -23,6 +23,12 @@ def _gate_output(lid):
     return Netlist("t", ["a", "b"], [], [gate], [("O", "x")], [lid])
 
 
+def _unknown_kind(kind):
+    """One gate of kind ``kind``, which is not a ``GateKind``."""
+    gate = GateInstance(kind, ("a", "b"), ("x", "y"))
+    return Netlist("t", ["a", "b"], [], [gate], [("O", "x")], ["y"])
+
+
 UNREADABLE = [
     (_wire(lid="1x"), "invalid line id '1x'"),
     (_wire(lid="a-b"), "invalid line id 'a-b'"),
@@ -44,6 +50,8 @@ UNREADABLE = [
                          "or '#'"),
     (Netlist("t", [], [("k", True)], [], [("O", "k")]),
      "constant 'k' has polarity True"),
+    (_unknown_kind("FG"), "gate 0 has unknown kind 'FG'"),
+    (_unknown_kind(["FG"]), "gate 0 has unknown kind ['FG']"),
 ]
 
 
@@ -86,12 +94,15 @@ NOT_STRINGS = [
      ["invalid line id ['a']"]),
     (Netlist("t", ["a"], [], [], [(["O"], "a")]),
      ["output name ['O'] is not a string"]),
+    (Netlist("t", [["a"], 3], [], [], [("O", ["a"]), ("P", 3)]),
+     ["invalid line id ['a']", "invalid line id 3"]),
 ]
 NOT_STRING_IDS = [
     "int id", "tuple id", "int name", "None output name",
     "int output name out of gate range", "int output name of a gate",
     "None output name with fanout", "int id output and garbage",
-    "unhashable id", "unhashable output name"]
+    "unhashable id", "unhashable output name",
+    "unhashable id beside a hashable one"]
 
 
 @pytest.mark.parametrize("net, messages", NOT_STRINGS, ids=NOT_STRING_IDS)
