@@ -64,7 +64,10 @@ class CampaignReport:
     fault changed no boundary line at all; ``undetected_and_corrupting``
     runs where some boundary line changed yet parity still matched.
     ``primary_only_detected``/``primary_only_missed`` report the stricter
-    observation policy where only named primary outputs are visible.
+    observation policy where only named primary outputs are visible.  Each
+    policy partitions the ``sites_total * vectors_per_site`` runs:
+    detected + silent + corrupting and primary-only detected + missed both
+    sum to it.
     """
 
     circuit: str
@@ -144,10 +147,13 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
     (``_alarm``) are kept.  Sampled batches pack their sites' own streams
     and make their own clean pass; exhaustive sites share the enumeration,
     so it is tiled across the slots and its clean pass made once and
-    reused.  A batch is counted under ``live``, the all-ones word of its
-    own slots, narrower than ``ones`` only for a short last batch: an empty
-    slot never differs from the clean pass, but a circuit that does not
-    preserve parity can raise its alarm there.
+    reused.  A batch's alarm is counted under ``live``, the all-ones word
+    of its own slots, narrower than ``ones`` only for a short last batch:
+    a circuit that does not preserve parity can raise its alarm in an empty
+    slot, but an empty slot carries no fault, so it never differs from the
+    clean pass.  A batch counts its alarms, its quiet runs that change the
+    boundary and its runs that change a primary output; silent and
+    primary-only missed runs are their complements over all runs.
     """
     _check_valid(net)
     _fault_transform(model)
@@ -169,8 +175,7 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
         base = _boundary(net, evaluate_lines(net, masks, ones))
         pin = _alarm(net, masks, ones, ())
 
-    detected = silent = corrupting = 0
-    prim_seen = prim_missed = 0
+    detected = corrupting = prim_seen = 0
     for start in range(0, len(lines), per_batch):
         batch = lines[start:start + per_batch]
         if samples is not None:
@@ -186,18 +191,16 @@ def run_campaign(net: Netlist, model: str = "flip", samples: int | None = None,
         faulted = _boundary(net, evaluate_lines(net, masks, ones, fault))
         alarm = reduce(xor, faulted, pin) & live
         changed = list(map(xor, faulted, base))
-        diff = reduce(or_, changed, 0)
         pdiff = reduce(or_, changed[:nout], 0)
+        diff = reduce(or_, changed[nout:], pdiff)
         detected += alarm.bit_count()
-        quiet = live & ~alarm
-        silent += (quiet & ~diff).bit_count()
-        corrupting += (quiet & diff).bit_count()
+        corrupting += (diff & ~alarm).bit_count()
         prim_seen += pdiff.bit_count()
-        prim_missed += (live & ~pdiff).bit_count()
 
+    runs = len(lines) * nvec
     judged = detected + corrupting
     coverage = 1.0 if judged == 0 else detected / judged
     return CampaignReport(net.name, model, len(lines), nvec, detected,
-                          silent, corrupting, coverage,
-                          prim_seen, prim_missed,
+                          runs - judged, corrupting, coverage,
+                          prim_seen, runs - prim_seen,
                           seed=None if samples is None else seed)

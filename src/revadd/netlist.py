@@ -275,6 +275,13 @@ def _keyable(net: Netlist) -> Netlist:
             return _Shown(x)
         return x
 
+    return _relabel(net, key)
+
+
+def _relabel(net: Netlist, key) -> Netlist:
+    """A copy of ``net`` with each line id and output name mapped by
+    ``key``."""
+
     def keys(xs):
         return tuple(map(key, xs))
 
@@ -668,19 +675,17 @@ def _parity(net: Netlist, samples: int | None = None,
     return not _alarm(net, masks, one, words)
 
 
-def is_parity_preserving_circuit(net: Netlist) -> bool:
-    """Exhaustively check boundary parity conservation over all input vectors."""
-    _check_valid(net)
-    return _parity(net)
+def is_parity_preserving_circuit(net: Netlist, samples: int | None = None,
+                                 seed: int | None = None) -> bool:
+    """Check boundary parity conservation over every input vector when
+    ``samples`` is None, else over ``samples`` vectors drawn from ``seed``,
+    the two keywords read as :func:`revadd.faults.run_campaign` reads them.
 
-
-def is_parity_preserving_circuit_sampled(net: Netlist, samples: int,
-                                         seed: int) -> bool:
-    """Monte-Carlo parity check for wide netlists over ``samples`` vectors.
-
-    Raises ValueError when ``samples`` is below 1, since a check over no
-    vectors would check nothing, above ``1 << EXHAUSTIVE_LIMIT``, or when
-    ``seed`` is None, since an unseeded verdict could not be reproduced.
+    The exhaustive check is refused above ``EXHAUSTIVE_LIMIT`` inputs.  The
+    sampled one raises ValueError when ``samples`` is below 1, since a check
+    over no vectors would check nothing, above ``1 << EXHAUSTIVE_LIMIT``, or
+    when ``seed`` is None, since an unseeded verdict could not be
+    reproduced.
     """
     _check_valid(net)
     return _parity(net, samples, seed)

@@ -28,7 +28,8 @@ import re
 from dataclasses import dataclass
 
 from .gates import ARITY, GateKind
-from .netlist import _ID_RE, GateInstance, Netlist, Violation, _tag, validate
+from .netlist import (_ID_RE, GateInstance, Netlist, Violation, _relabel,
+                      _tag, validate)
 
 FORMAT_VERSION = 1
 _WRAP = 8  # ids per declaration line when serializing
@@ -250,7 +251,21 @@ def _wrapped(keyword: str, items: list[str]) -> list[str]:
 
 
 def serialize(net: Netlist) -> str:
-    """Canonical text form; byte-stable for a given netlist."""
+    """Canonical text form; byte-stable for a given netlist.
+
+    A line id that is not a string, which :func:`validate` refuses, is
+    written as its ``repr``, as a gate kind that is not a ``GateKind`` is;
+    the text then reads back only as a positioned diagnostic.  A netlist of
+    strings is joined as it is: only when a join raises ``TypeError`` is the
+    pass run again on ids shown by their ``repr``."""
+    try:
+        return _text(net)
+    except TypeError:
+        return _text(_relabel(net, lambda x: x if isinstance(x, str)
+                              else repr(x)))
+
+
+def _text(net: Netlist) -> str:
     lines = [f"netlist {net.name}", f"version {FORMAT_VERSION}"]
     lines += _wrapped("input", list(net.inputs))
     lines += _wrapped("const", [f"{lid}={val}" for lid, val in net.constants])

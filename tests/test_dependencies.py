@@ -1,6 +1,7 @@
 """The core package keeps zero runtime dependencies: numpy, hypothesis and
-pytest stay test-only or bench-only.  Its CLI prints the same bytes on
-every supported Python that can be started here."""
+pytest stay test-only or bench-only.  It exports exactly its public names.
+Its CLI prints the same bytes on every supported Python that can be started
+here."""
 
 import json
 import os
@@ -8,8 +9,11 @@ import re
 import shutil
 import subprocess
 import sys
+from types import ModuleType
 
 import pytest
+
+import revadd
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TEST_ONLY = ("numpy", "hypothesis", "pytest")
@@ -35,6 +39,14 @@ def test_importing_the_package_and_cli_loads_no_test_only_module():
     path, loaded = done.stdout.splitlines()
     assert path.startswith(os.path.join(ROOT, "src", "revadd"))
     assert loaded == "[]"
+
+
+def test_all_lists_each_public_name_once_in_order():
+    names = revadd.__all__
+    assert names == sorted(set(names))
+    assert set(names) == {name for name, value in vars(revadd).items()
+                          if not name.startswith("_")
+                          and not isinstance(value, ModuleType)}
 
 
 # pyproject.toml: requires-python >= 3.10

@@ -5,8 +5,8 @@ calls to it."""
 
 import pytest
 
-from revadd import (build_design, is_parity_preserving_circuit_sampled,
-                    run_campaign, simulate, truth_table)
+from revadd import (build_design, is_parity_preserving_circuit, run_campaign,
+                    simulate, truth_table)
 from revadd import faults, netlist
 from revadd.faults import WORD_BITS, FaultSite, simulate_with_fault
 
@@ -31,9 +31,9 @@ def calls(monkeypatch):
     lambda net: simulate_with_fault(net, FaultSite(net.inputs[0]),
                                     [0] * len(net.inputs)),
     truth_table,
-    lambda net: is_parity_preserving_circuit_sampled(net, 64, 1),
+    lambda net: is_parity_preserving_circuit(net, 64, 1),
 ], ids=["simulate", "simulate_with_fault", "truth_table",
-        "is_parity_preserving_circuit_sampled"])
+        "is_parity_preserving_circuit"])
 def test_each_check_evaluates_once(calls, check):
     check(build_design("cla2"))
     assert len(calls) == 1

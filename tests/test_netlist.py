@@ -18,7 +18,6 @@ from revadd import (GateInstance, GateKind, Netlist, NetlistBuilder,
                     NetlistError, NetlistParseError, WidthLimitError,
                     build_cla2, build_csa4, build_design, build_full_adder,
                     build_rca, gate_cost, gates, is_parity_preserving_circuit,
-                    is_parity_preserving_circuit_sampled,
                     is_reversible_circuit, metrics, netlist, parse_netlist,
                     run_campaign, serialize, simulate, truth_table, validate)
 from revadd.faults import FAULT_MODELS
@@ -417,9 +416,8 @@ def test_parity_preserving_composition_property():
 
 
 def test_sampled_parity_check():
-    assert is_parity_preserving_circuit_sampled(build_csa4(), 256, seed=3)
-    assert not is_parity_preserving_circuit_sampled(pg_full_adder(), 256,
-                                                    seed=3)
+    assert is_parity_preserving_circuit(build_csa4(), 256, seed=3)
+    assert not is_parity_preserving_circuit(pg_full_adder(), 256, seed=3)
 
 
 def test_reversibility_checks():
@@ -437,7 +435,7 @@ def test_reversibility_checks():
 def test_sampled_parity_check_refuses_sample_counts_below_one():
     for samples in (0, -3):
         with pytest.raises(ValueError, match="sample count must be positive"):
-            is_parity_preserving_circuit_sampled(pg_full_adder(), samples, 0)
+            is_parity_preserving_circuit(pg_full_adder(), samples, 0)
 
 
 def test_variable_masks_enumerate_every_vector():
@@ -708,7 +706,7 @@ def test_every_sampled_check_refuses_zero_samples_with_one_message():
     with pytest.raises(ValueError) as campaign:
         run_campaign(build_full_adder(), "flip", samples=0, seed=1)
     with pytest.raises(ValueError) as parity_check:
-        is_parity_preserving_circuit_sampled(build_full_adder(), 0, 0)
+        is_parity_preserving_circuit(build_full_adder(), 0, 0)
     assert (str(campaign.value) == str(parity_check.value)
             == "sample count must be positive, got 0")
 
@@ -717,7 +715,7 @@ def test_every_sampled_check_refuses_a_missing_seed_with_one_message():
     with pytest.raises(ValueError) as campaign:
         run_campaign(build_full_adder(), "flip", samples=8)
     with pytest.raises(ValueError) as parity_check:
-        is_parity_preserving_circuit_sampled(build_full_adder(), 8, None)
+        is_parity_preserving_circuit(build_full_adder(), 8, None)
     assert (str(campaign.value) == str(parity_check.value)
             == "sampled checks require a seed (reports must be reproducible)")
 

@@ -8,7 +8,7 @@ with traps; a huge count is never run any other way."""
 import pytest
 
 from revadd import (build_csa4, build_full_adder,
-                    is_parity_preserving_circuit_sampled, run_campaign)
+                    is_parity_preserving_circuit, run_campaign)
 from revadd import cli, faults, netlist
 from revadd.netlist import EXHAUSTIVE_LIMIT
 
@@ -37,12 +37,12 @@ def test_library_refuses_counts_above_the_ceiling(trapped, count):
     with pytest.raises(ValueError) as campaign:
         run_campaign(build_full_adder(), "flip", samples=count, seed=1)
     with pytest.raises(ValueError) as parity_check:
-        is_parity_preserving_circuit_sampled(build_full_adder(), count, 0)
+        is_parity_preserving_circuit(build_full_adder(), count, 0)
     assert str(campaign.value) == str(parity_check.value) == _message(count)
 
 
 def test_the_ceiling_itself_is_accepted():
-    assert is_parity_preserving_circuit_sampled(build_csa4(), CEILING, 1)
+    assert is_parity_preserving_circuit(build_csa4(), CEILING, 1)
 
 
 @pytest.mark.parametrize("argv", [

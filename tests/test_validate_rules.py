@@ -52,6 +52,9 @@ UNREADABLE = [
      "constant 'k' has polarity True"),
     (_unknown_kind("FG"), "gate 0 has unknown kind 'FG'"),
     (_unknown_kind(["FG"]), "gate 0 has unknown kind ['FG']"),
+    (_wire(lid=5), "invalid line id 5"),
+    (_gate_output(("y",)), "invalid line id ('y',)"),
+    (Netlist("t", [["a"]], [], [], [("O", ["a"])]), "invalid line id ['a']"),
 ]
 
 
