@@ -39,6 +39,8 @@ from .gates import ARITY, EVAL, CostVector, GateKind, ledger_cost
 
 EXHAUSTIVE_LIMIT = 20  # max primary-input width for exhaustive enumeration
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")  # a line id the text reads
+# the types and the length of a constant or output entry (see _all_pairs)
+_PAIR_TYPES, _TWO = frozenset((tuple, list)), frozenset((2,))
 
 # fault model -> transform of a line's value word under the fault mask
 FAULT_TRANSFORMS = {
@@ -221,7 +223,7 @@ class NetlistBuilder:
         valid one is never checked again."""
         net = Netlist(self.name, self._inputs, self._constants, self._gates,
                       outputs)
-        read = {lid for _, lid in outputs}
+        read = {lid for _, lid in filter(_is_pair, outputs)}
         for g in net.gates:
             read.update(g.inputs)
         # a line defined twice is listed once, so validate reports the
@@ -280,18 +282,33 @@ def _keyable(net: Netlist) -> Netlist:
 
 def _relabel(net: Netlist, key) -> Netlist:
     """A copy of ``net`` with each line id and output name mapped by
-    ``key``."""
+    ``key``; a constant or output entry that is not a pair is kept as it
+    is."""
 
     def keys(xs):
         return tuple(map(key, xs))
 
     return Netlist(
         net.name, keys(net.inputs),
-        [(key(lid), val) for lid, val in net.constants],
+        [(key(c[0]), c[1]) if _is_pair(c) else c for c in net.constants],
         [GateInstance(g.kind, keys(g.inputs), keys(g.outputs))
          for g in net.gates],
-        [(key(name), key(lid)) for name, lid in net.outputs],
+        [keys(o) if _is_pair(o) else o for o in net.outputs],
         keys(net.garbage))
+
+
+def _is_pair(entry) -> bool:
+    """Whether a constant or output entry has the one shape it may have: a
+    tuple or list of 2 items."""
+    return isinstance(entry, (tuple, list)) and len(entry) == 2
+
+
+def _all_pairs(entries) -> bool:
+    """True when every entry is a plain tuple or list of 2 items: a test
+    that makes no Python call per entry.  False leaves :func:`_is_pair` to
+    judge each entry."""
+    return (_PAIR_TYPES.issuperset(map(type, entries))
+            and _TWO.issuperset(map(len, entries)))
 
 
 def _find_violations(net: Netlist) -> tuple[Violation, ...]:
@@ -321,8 +338,19 @@ def _judge(net: Netlist) -> tuple[Violation, ...]:
     :meth:`Netlist._boundary_lines` (an output, then garbage, as the slot
     program reads them).  ``describe`` names a reference, and is formatted
     only for violations.
+
+    A constant or output entry that is not a pair is reported by its
+    ``repr``, and the rest of the netlist is judged without it.
     """
     v: list[Violation] = []
+    if not _all_pairs(net.constants + net.outputs):
+        v += [Violation("role", f"{what} entry {e!r} is not a ({pair}) pair")
+              for what, pair, entries in (
+                  ("constant", "line, polarity", net.constants),
+                  ("output", "name, line", net.outputs))
+              for e in entries if not _is_pair(e)]
+        net = replace(net, constants=filter(_is_pair, net.constants),
+                      outputs=filter(_is_pair, net.outputs))
     defined: dict[str, None] = {}  # definition order
 
     def redefined(lid: str, what: str) -> Violation:

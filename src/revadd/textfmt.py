@@ -16,10 +16,12 @@ Gate statements appear in topological order; every line that no gate
 consumes must appear in exactly one of output/garbage.  The parser checks
 the text itself (headers, tokens, arity, ids, definition before use); a
 document that passes is built, and its structural diagnostics are the
-:func:`revadd.netlist.validate` violations placed at source positions.  The
-serializer is deterministic and byte-stable: declarations first, then
-instances in topological order, with long declaration sections wrapped at a
-fixed width.
+:func:`revadd.netlist.validate` violations placed at source positions.
+Parsing takes two passes: a legal document is read once, by an accept pass
+that keeps no positions, and only text with a problem is read again by the
+diagnostic parser (see :func:`parse_netlist`).  The serializer is
+deterministic and byte-stable: declarations first, then instances in
+topological order, with long declaration sections wrapped at a fixed width.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import re
 from dataclasses import dataclass
 
 from .gates import ARITY, GateKind
-from .netlist import (_ID_RE, GateInstance, Netlist, Violation, _relabel,
-                      _tag, validate)
+from .netlist import (_ID_RE, GateInstance, Netlist, Violation, _all_pairs,
+                      _is_pair, _relabel, _tag, validate)
 
 FORMAT_VERSION = 1
 _WRAP = 8  # ids per declaration line when serializing
@@ -238,10 +240,82 @@ _STATEMENTS = {name.removeprefix("_stmt_"): fn
                if name.startswith("_stmt_")}
 
 
+def _accept(text: str) -> Netlist | None:
+    """The netlist a well-formed document describes, read with no position
+    bookkeeping, or ``None`` when a statement is one the grammar refuses, a
+    header is missing or repeated, or an ``input`` or ``const`` statement
+    follows a gate.  Lines and words are split as :meth:`_Parser.parse`
+    splits them, and each token shape is read by the parser's own rule;
+    ids and output names are left to :func:`validate`."""
+    name, version = None, False
+    inputs, constants, gates, outputs, garbage = [], [], [], [], []
+    for raw in text.split("\n"):
+        words = raw.split("#", 1)[0].split()
+        if not words:
+            continue
+        key, n = words[0], len(words)
+        if key == "gate":
+            kind = _KINDS.get(words[1]) if n > 1 else None
+            if kind is None:
+                return None
+            arity = ARITY[kind]
+            if (n != 2 * arity + 3 or words[arity + 2] != "<-"
+                    or words.count("<-") != 1):
+                return None
+            gates.append(GateInstance(kind, tuple(words[arity + 3:]),
+                                      tuple(words[2:arity + 2])))
+        elif n < 2:
+            return None
+        elif key == "input" and not gates:
+            inputs += words[1:]
+        elif key == "const" and not gates:
+            for word in words[1:]:
+                m = _CONST_RE.fullmatch(word)
+                if m is None:
+                    return None
+                constants.append((m[1], int(m[2])))
+        elif key == "output":
+            for word in words[1:]:
+                m = _OUTPUT_RE.fullmatch(word)
+                if m is None:
+                    return None
+                outputs.append(m.groups())
+        elif key == "garbage":
+            garbage += words[1:]
+        elif key == "netlist" and n == 2 and name is None:
+            name = words[1]
+        elif (key == "version" and n == 2 and not version
+              and words[1] == str(FORMAT_VERSION)):
+            version = True
+        else:
+            return None
+    if name is None or not version:
+        return None
+    return Netlist(name, inputs, constants, gates, outputs, garbage)
+
+
 def parse_netlist(text: str) -> Netlist:
     """Parse a netlist document; raises :class:`NetlistParseError` carrying
     a positioned diagnostic for every problem in the text or, when the text
-    has none, for every violation :func:`validate` finds."""
+    has none, for every violation :func:`validate` finds.
+
+    Two passes share the work.  :func:`_accept` reads the document with no
+    position bookkeeping, and its netlist is returned when :func:`validate`
+    finds it legal.  Otherwise :class:`_Parser`, the one source of
+    diagnostics, reads the text again.  The result cannot differ from the
+    parser's alone: the accept pass refuses every statement, header and
+    token shape the parser refuses, and the parser's remaining checks are
+    on ids (an invalid or redeclared id, a gate input no earlier statement
+    defines, a repeated output name), each of which :func:`validate` also
+    reports, so such a text falls back too.  :func:`validate` reads the
+    inputs and constants before every gate, whatever lines declare them,
+    so the accept pass also refuses a declaration that follows a gate: a
+    gate may read a line declared below it only in such a text.  Text that
+    has a problem thus costs one extra accept pass, plus a second
+    :func:`validate` when the accept pass read it whole."""
+    net = _accept(text)
+    if net is not None and not validate(net):
+        return net
     return _Parser(text).parse()
 
 
@@ -250,14 +324,23 @@ def _wrapped(keyword: str, items: list[str]) -> list[str]:
             for i in range(0, len(items), _WRAP)]
 
 
+def _entry_words(entries) -> list[str]:
+    """Each constant or output entry as ``a=b``, or by its ``repr`` when it
+    is not a pair."""
+    if _all_pairs(entries):
+        return [f"{a}={b}" for a, b in entries]
+    return [f"{e[0]}={e[1]}" if _is_pair(e) else repr(e) for e in entries]
+
+
 def serialize(net: Netlist) -> str:
     """Canonical text form; byte-stable for a given netlist.
 
     A line id that is not a string, which :func:`validate` refuses, is
-    written as its ``repr``, as a gate kind that is not a ``GateKind`` is;
-    the text then reads back only as a positioned diagnostic.  A netlist of
-    strings is joined as it is: only when a join raises ``TypeError`` is the
-    pass run again on ids shown by their ``repr``."""
+    written as its ``repr``, as a gate kind that is not a ``GateKind`` and
+    a constant or output entry that is not a pair are; the text then reads
+    back only as a positioned diagnostic.  A netlist of strings is joined
+    as it is: only when a join raises ``TypeError`` is the pass run again on
+    ids shown by their ``repr``."""
     try:
         return _text(net)
     except TypeError:
@@ -268,10 +351,10 @@ def serialize(net: Netlist) -> str:
 def _text(net: Netlist) -> str:
     lines = [f"netlist {net.name}", f"version {FORMAT_VERSION}"]
     lines += _wrapped("input", list(net.inputs))
-    lines += _wrapped("const", [f"{lid}={val}" for lid, val in net.constants])
+    lines += _wrapped("const", _entry_words(net.constants))
     for g in net.gates:
         lines.append(f"gate {_tag(g.kind)} {' '.join(g.outputs)} "
                      f"<- {' '.join(g.inputs)}")
-    lines += _wrapped("output", [f"{name}={lid}" for name, lid in net.outputs])
+    lines += _wrapped("output", _entry_words(net.outputs))
     lines += _wrapped("garbage", list(net.garbage))
     return "\n".join(lines) + "\n"

@@ -1,12 +1,15 @@
 """Netlist text format: round trips, byte stability, positioned diagnostics."""
 
+import os
 import sys
+from random import Random
 
 import pytest
 
-from helpers import reference_parse_netlist
+from helpers import random_fanout_free, reference_parse_netlist
 from revadd import (NetlistParseError, build_design, build_full_adder,
-                    metrics, parse_netlist, serialize, truth_table, validate)
+                    metrics, parse_netlist, serialize, textfmt, truth_table,
+                    validate)
 from revadd.textfmt import _TOKEN_RE
 
 ALL_DESIGNS = ["fa", "rca:4", "cla2", "csa4", "hsa16"]
@@ -63,6 +66,44 @@ def diags_of(text):
         reference_parse_netlist(text)
     assert err.value.diagnostics == ref.value.diagnostics
     return err.value.diagnostics
+
+
+def _readme_netlist() -> str:
+    """The document shown under the README's "Netlist format" heading."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        after = fh.read().split("## Netlist format", 1)[1]
+    return after.split("```\n", 2)[1]
+
+
+def test_valid_documents_never_reach_the_diagnostic_parser(monkeypatch):
+    """The accept pass alone reads a legal document; the diagnostic parser
+    runs only for text that has a problem."""
+    rng = Random(22)
+    docs = [serialize(build_design(d))
+            for d in ["fa", "cla2", "csa4", "hsa16", "rca:1", "rca:8"]]
+    docs += [serialize(random_fanout_free(rng, f"r{i}", rng.randint(1, 12),
+                                          rng.randint(0, 3), 15,
+                                          named=["some", "all", "none"][i % 3]))
+             for i in range(50)]
+    docs.append(_readme_netlist())
+    want = [reference_parse_netlist(doc) for doc in docs]
+
+    def refuse(text):
+        raise AssertionError("the diagnostic parser ran on a legal document")
+
+    monkeypatch.setattr(textfmt, "_Parser", refuse)
+    assert [parse_netlist(doc) for doc in docs] == want
+
+
+def test_a_declaration_below_the_gate_that_reads_it_is_refused():
+    # validate reads the constants before every gate, wherever the text
+    # declares them; the parser reads the lines in order
+    bad = ("netlist t\nversion 1\ninput a\ngate FG x y <- a k\n"
+           "const k=0\noutput O=x P=y\n")
+    assert [(d.line, d.col, d.message) for d in diags_of(bad)] == [
+        (4, 18, "gate input 'k' is not defined by any earlier "
+                "input/const/gate statement")]
 
 
 def test_unknown_gate_kind_is_a_positioned_semantic_error():

@@ -1,6 +1,9 @@
 """Parser fuzzing: any text either parses or fails with positioned
-diagnostics, the reference parser agrees on it, and layout that keeps every
-column leaves the diagnostics unchanged."""
+diagnostics, the reference parser agrees on it, layout that keeps every
+column leaves the diagnostics unchanged, and a legal document reads the same
+however it is laid out."""
+
+from random import Random
 
 import pytest
 
@@ -9,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from helpers import reference_parse_netlist  # noqa: E402
+from helpers import random_fanout_free, reference_parse_netlist  # noqa: E402
 from revadd import (GateKind, Netlist, NetlistParseError,  # noqa: E402
                     build_design, parse_netlist, serialize)
 
@@ -134,3 +137,58 @@ def _with_examples(docs):
 @given(st.one_of(document, st.text(max_size=200), edited()))
 def test_parser_agrees_with_the_reference_parser(text):
     assert _outcome(text) == _outcome(text, reference_parse_netlist)
+
+
+_rng = Random(7)
+LEGAL = [build_design(d) for d in ("fa", "cla2", "csa4", "rca:3")] + [
+    random_fanout_free(_rng, f"r{i}", _rng.randint(1, 12), _rng.randint(0, 3),
+                       12) for i in range(8)]
+DECLARATIONS = ("input", "const", "output", "garbage")
+
+
+@st.composite
+def relaid(draw):
+    """A legal netlist and its document laid out anew: other gaps, blank
+    and comment lines, CRLF, and each run of same-keyword declarations
+    merged onto one line or split over several.  Sometimes the input and
+    const lines go below the gates, where the parser refuses them."""
+    net = draw(st.sampled_from(LEGAL))
+    runs = []  # [keyword, words]
+    for row in serialize(net).splitlines():
+        key, *words = row.split()
+        if runs and key in DECLARATIONS and runs[-1][0] == key:
+            runs[-1][1] += words
+        else:
+            runs.append([key, words])
+    rows = []
+    for key, words in runs:
+        cuts = []
+        if key in DECLARATIONS and len(words) > 1:
+            cuts = sorted(draw(st.sets(st.integers(1, len(words) - 1),
+                                       max_size=3)))
+        rows += [[key, *words[a:b]]
+                 for a, b in zip([0, *cuts], [*cuts, len(words)])]
+    late = draw(st.booleans())
+    if late:
+        rows.sort(key=lambda r: r[0] in ("input", "const"))
+    lines = []
+    for words in rows:
+        lines.append(draw(st.sampled_from(["", " ", "\t"]))
+                     + "".join(w + draw(gap) for w in words[:-1]) + words[-1]
+                     + draw(comment))
+        lines += draw(st.lists(st.sampled_from(["", "\t", "# note"]),
+                               max_size=1))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return net, "".join(ln + eol for ln in lines), late
+
+
+@fuzz
+@given(relaid())
+def test_relaid_documents_agree_with_the_reference_parser(case):
+    net, text, late = case
+    outcome = _outcome(text)
+    assert outcome == _outcome(text, reference_parse_netlist)
+    if late and net.gates:  # the first gate reads a line declared below
+        assert not isinstance(outcome, Netlist)
+    else:
+        assert outcome == net

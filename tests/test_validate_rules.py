@@ -55,6 +55,16 @@ UNREADABLE = [
     (_wire(lid=5), "invalid line id 5"),
     (_gate_output(("y",)), "invalid line id ('y',)"),
     (Netlist("t", [["a"]], [], [], [("O", ["a"])]), "invalid line id ['a']"),
+    (Netlist("t", ["a"], [], [], [("O", "a"), "Pb"]),
+     "output entry 'Pb' is not a (name, line) pair"),
+    (Netlist("t", ["a"], [], [], [("O", "a"), ("P",)]),
+     "output entry ('P',) is not a (name, line) pair"),
+    (Netlist("t", ["a"], [], [], [("O", "a"), 5]),
+     "output entry 5 is not a (name, line) pair"),
+    (Netlist("t", ["a"], ["k0"], [], [("O", "a")]),
+     "constant entry 'k0' is not a (line, polarity) pair"),
+    (Netlist("t", ["a"], [("k",)], [], [("O", "a")]),
+     "constant entry ('k',) is not a (line, polarity) pair"),
 ]
 
 
@@ -130,6 +140,35 @@ def test_unhashable_ids_are_judged_like_other_lines():
             "invalid line id ['a']"]
     assert [v.message for v in validate(net)] == want
     assert [v.message for v in reference_validate(net)] == want
+
+
+def test_an_entry_that_is_not_a_pair_is_judged_apart():
+    """A string entry is not read as the pair of its characters: the rest of
+    the netlist is judged without it, and the retry over ids that key no
+    dict carries it."""
+    lone = Netlist("t", ["a"], [], [], ["Oa"])
+    assert [v.message for v in validate(lone)] == [
+        "output entry 'Oa' is not a (name, line) pair",
+        "line 'a' has no sink; it must be consumed, a primary output, or "
+        "garbage"]
+    assert "O=a" not in serialize(lone)
+    mixed = Netlist("t", [["a"]], [("k",)], [], [("O", ["a"]), 7])
+    assert [v.message for v in validate(mixed)] == [
+        "constant entry ('k',) is not a (line, polarity) pair",
+        "output entry 7 is not a (name, line) pair",
+        "invalid line id ['a']"]
+    assert serialize(mixed).splitlines()[2:] == [
+        "input ['a']", "const ('k',)", "output O=['a'] 7"]
+
+
+@pytest.mark.parametrize("entry", ["Oa", ("O",), 5], ids=repr)
+def test_builder_refuses_an_output_entry_that_is_not_a_pair(entry):
+    nb = NetlistBuilder("t")
+    nb.input("a")
+    with pytest.raises(NetlistError) as err:
+        nb.finish([entry])
+    assert str(err.value) == (f"netlist 't' is not valid: [role] output "
+                              f"entry {entry!r} is not a (name, line) pair")
 
 
 def test_builder_refuses_an_unreadable_gate_output():
