@@ -17,9 +17,10 @@ consumes must appear in exactly one of output/garbage.  The parser checks
 the text itself (headers, tokens, arity, ids, definition before use); a
 document that passes is built, and its structural diagnostics are the
 :func:`revadd.netlist.validate` violations placed at source positions.
-Parsing takes two passes: a legal document is read once, by an accept pass
-that keeps no positions, and only text with a problem is read again by the
-diagnostic parser (see :func:`parse_netlist`).  The serializer is
+One reader, with one rule per statement keyword, reads the text in one of
+two ways: a legal document is read once, by a quick read that keeps no
+positions, and only text with a problem is read again, by a placed read
+that reports it (see :func:`parse_netlist`).  The serializer is
 deterministic and byte-stable: declarations first, then instances in
 topological order, with long declaration sections wrapped at a fixed width.
 """
@@ -59,17 +60,39 @@ class NetlistParseError(ValueError):
         super().__init__("\n".join(str(d) for d in self.diagnostics))
 
 
-class _Parser:
-    """One pass over the words of each line.  A source position is kept as
-    a ``(line number, word index)`` reference and turned into a column only
-    when a diagnostic needs it."""
+class _Refused(Exception):
+    """Raised by a quick read at the first thing it does not read."""
 
-    def __init__(self, text: str):
-        self.lines = text.split("\n")
+
+class _Parser:
+    """One pass over the words of each line, made in one of two ways.
+
+    A *placed* read (``placed=True``) is the diagnostic parser.  It keeps a
+    source position as a ``(line number, word index)`` reference, turned
+    into a column only when a diagnostic needs it, and reports every
+    problem in the text or, when the text has none, every violation
+    :func:`validate` finds.
+
+    A *quick* read applies the same rule to each statement but skips what
+    only places diagnostics: it keeps no word positions and checks no id,
+    and it returns the netlist unjudged, leaving ids, output names and
+    structure to :func:`validate`.  It raises :class:`_Refused` at the
+    first problem, and at an ``input`` or ``const`` statement below a gate
+    (see :func:`parse_netlist`)."""
+
+    __slots__ = ("lines", "placed", "diags", "name", "headers", "inputs",
+                 "constants", "gates", "outputs", "garbage", "defs", "sinks",
+                 "out_names")
+
+    def __init__(self, text: str, placed: bool):
+        lines = text.split("\n")
+        # each line's body, what precedes its "#"; most texts have no "#"
+        self.lines = ([ln.partition("#")[0] for ln in lines] if "#" in text
+                      else lines)
+        self.placed = placed
         self.diags: list[Diagnostic] = []
         self.name: str | None = None
-        self.header: tuple[int, int] | None = None
-        self.version_seen = False
+        self.headers: dict[str, tuple[int, int]] = {}  # keyword -> first
         self.inputs: list[str] = []
         self.constants: list[tuple[str, int]] = []
         self.gates: list[GateInstance] = []
@@ -79,17 +102,20 @@ class _Parser:
         self.sinks: dict[str, list[tuple[int, int]]] = {}
         self.out_names: dict[str, tuple[int, int]] = {}
 
-    def at(self, ref: tuple[int, int]) -> tuple[int, int]:
+    def at(self, ref: tuple[int, int] | None) -> tuple[int, int]:
         """The 1-based ``(line, column)`` of a word reference, found by
-        scanning its line again."""
+        scanning its line again; no reference is 1:1."""
+        if ref is None:
+            return 1, 1
         row, k = ref
-        body = self.lines[row - 1].split("#", 1)[0]
-        return row, list(_TOKEN_RE.finditer(body))[k].start() + 1
+        return row, [*_TOKEN_RE.finditer(self.lines[row - 1])][k].start() + 1
 
     def where(self, ref: tuple[int, int]) -> str:
         return "%d:%d" % self.at(ref)
 
-    def err(self, ref: tuple[int, int], message: str):
+    def err(self, ref: tuple[int, int] | None, message: str):
+        if not self.placed:
+            raise _Refused
         self.diags.append(Diagnostic(*self.at(ref), message))
 
     def define(self, ref: tuple[int, int], lid: str):
@@ -105,10 +131,10 @@ class _Parser:
         self.sinks.setdefault(lid, []).append(ref)
 
     def parse(self) -> Netlist:
-        for row, raw in enumerate(self.lines, start=1):
+        for row, body in enumerate(self.lines, start=1):
             # str.split() and _TOKEN_RE agree on whitespace, which includes
             # the "\r" of a CRLF line end
-            words = raw.split("#", 1)[0].split()
+            words = body.split()
             if not words:
                 continue
             handler = _STATEMENTS.get(words[0])
@@ -117,15 +143,15 @@ class _Parser:
                          "netlist/version/input/const/gate/output/garbage)")
                 continue
             handler(self, row, words)
-        if self.header is None:
-            self.diags.append(Diagnostic(1, 1, "missing 'netlist <name>' header"))
-        if not self.version_seen:
-            self.diags.append(Diagnostic(1, 1, "missing 'version 1' header"))
+        if "netlist" not in self.headers:
+            self.err(None, "missing 'netlist <name>' header")
+        if "version" not in self.headers:
+            self.err(None, "missing 'version 1' header")
         if self.diags:
             raise NetlistParseError(self.diags)
         net = Netlist(self.name, self.inputs, self.constants, self.gates,
                       self.outputs, self.garbage)
-        problems = validate(net)
+        problems = validate(net) if self.placed else ()
         if problems:
             raise NetlistParseError(map(self._place, problems))
         return net
@@ -139,21 +165,28 @@ class _Parser:
         message = str(v)
         if len(sinks) > 1:
             message += f" (at {', '.join(map(self.where, sinks))})"
-        return Diagnostic(*(self.at(ref) if ref else (1, 1)), message)
+        return Diagnostic(*self.at(ref), message)
+
+    def _first(self, row: int, key: str) -> bool:
+        """Whether this is the first ``key`` header; a repeat is diagnosed."""
+        if key in self.headers:
+            self.err((row, 0), f"{key} header redeclared "
+                               f"(first at {self.where(self.headers[key])})")
+            return False
+        self.headers[key] = (row, 0)
+        return True
 
     def _stmt_netlist(self, row, words):
-        if self.header is not None:
-            self.err((row, 0), "netlist header redeclared "
-                               f"(first at {self.where(self.header)})")
+        if not self._first(row, "netlist"):
             return
-        self.header = (row, 0)
         if len(words) != 2:
             self.err((row, 0), "expected: netlist <name>")
             return
         self.name = words[1]
 
     def _stmt_version(self, row, words):
-        self.version_seen = True
+        if not self._first(row, "version"):
+            return
         if len(words) != 2 or words[1] != str(FORMAT_VERSION):
             found = words[1] if len(words) > 1 else "nothing"
             self.err((row, min(1, len(words) - 1)),
@@ -163,21 +196,27 @@ class _Parser:
     def _stmt_input(self, row, words):
         if len(words) < 2:
             self.err((row, 0), "expected: input <id> ...")
-        for k in range(1, len(words)):
-            self.define((row, k), words[k])
+        if self.placed:
+            for k in range(1, len(words)):
+                self.define((row, k), words[k])
+        elif self.gates:
+            raise _Refused  # a declaration below a gate
         self.inputs += words[1:]
 
     def _stmt_const(self, row, words):
         if len(words) < 2:
             self.err((row, 0), "expected: const <id>=0|1 ...")
+        if self.gates and not self.placed:
+            raise _Refused  # a declaration below a gate
         for k in range(1, len(words)):
             m = _CONST_RE.fullmatch(words[k])
             if not m:
                 self.err((row, k), f"malformed constant {words[k]!r} "
                                    "(expected <id>=0 or <id>=1)")
                 continue
-            self.define((row, k), m.group(1))
-            self.constants.append((m.group(1), int(m.group(2))))
+            if self.placed:
+                self.define((row, k), m[1])
+            self.constants.append((m[1], int(m[2])))
 
     def _stmt_gate(self, row, words):
         if len(words) < 4:
@@ -192,21 +231,23 @@ class _Parser:
             self.err((row, 0), "gate statement needs exactly one '<-' "
                                "between outputs and inputs")
             return
-        arrow = words.index("<-")
-        n, n_out, n_in = ARITY[kind], arrow - 2, len(words) - arrow - 1
-        if n_out != n or n_in != n:
+        n = ARITY[kind]
+        if len(words) != 2 * n + 3 or words[n + 2] != "<-":
+            n_out = words.index("<-") - 2
             self.err((row, 1), f"{kind.value} gate has arity {n}, got "
-                               f"{n_out} outputs and {n_in} inputs")
+                     f"{n_out} outputs and {len(words) - n_out - 3} inputs")
             return
-        for k in range(arrow + 1, len(words)):
-            if words[k] not in self.defs:
-                self.err((row, k), f"gate input {words[k]!r} is not defined "
-                                   "by any earlier input/const/gate statement")
-            self.consume((row, k), words[k])
-        for k in range(2, arrow):
-            self.define((row, k), words[k])
-        self.gates.append(GateInstance(kind, tuple(words[arrow + 1:]),
-                                       tuple(words[2:arrow])))
+        if self.placed:
+            for k in range(n + 3, len(words)):
+                if words[k] not in self.defs:
+                    self.err((row, k), f"gate input {words[k]!r} is not "
+                             "defined by any earlier input/const/gate "
+                             "statement")
+                self.consume((row, k), words[k])
+            for k in range(2, n + 2):
+                self.define((row, k), words[k])
+        self.gates.append(GateInstance(kind, tuple(words[n + 3:]),
+                                       tuple(words[2:n + 2])))
 
     def _stmt_output(self, row, words):
         if len(words) < 2:
@@ -217,21 +258,22 @@ class _Parser:
                 self.err((row, k), f"malformed output {words[k]!r} "
                                    "(expected <name>=<id>)")
                 continue
-            name, lid = m.group(1), m.group(2)
-            if name in self.out_names:
-                self.err((row, k), f"output name {name!r} redeclared "
-                         f"(first at {self.where(self.out_names[name])})")
-                continue
-            self.out_names[name] = (row, k)
-            self.outputs.append((name, lid))
-            self.consume((row, k), lid)
+            if self.placed:
+                if m[1] in self.out_names:
+                    self.err((row, k), f"output name {m[1]!r} redeclared "
+                             f"(first at {self.where(self.out_names[m[1]])})")
+                    continue
+                self.out_names[m[1]] = (row, k)
+                self.consume((row, k), m[2])
+            self.outputs.append(m.groups())
 
     def _stmt_garbage(self, row, words):
         if len(words) < 2:
             self.err((row, 0), "expected: garbage <id> ...")
-        for k in range(1, len(words)):
-            self.garbage.append(words[k])
-            self.consume((row, k), words[k])
+        if self.placed:
+            for k in range(1, len(words)):
+                self.consume((row, k), words[k])
+        self.garbage += words[1:]
 
 
 # statement keyword -> handler
@@ -240,83 +282,34 @@ _STATEMENTS = {name.removeprefix("_stmt_"): fn
                if name.startswith("_stmt_")}
 
 
-def _accept(text: str) -> Netlist | None:
-    """The netlist a well-formed document describes, read with no position
-    bookkeeping, or ``None`` when a statement is one the grammar refuses, a
-    header is missing or repeated, or an ``input`` or ``const`` statement
-    follows a gate.  Lines and words are split as :meth:`_Parser.parse`
-    splits them, and each token shape is read by the parser's own rule;
-    ids and output names are left to :func:`validate`."""
-    name, version = None, False
-    inputs, constants, gates, outputs, garbage = [], [], [], [], []
-    for raw in text.split("\n"):
-        words = raw.split("#", 1)[0].split()
-        if not words:
-            continue
-        key, n = words[0], len(words)
-        if key == "gate":
-            kind = _KINDS.get(words[1]) if n > 1 else None
-            if kind is None:
-                return None
-            arity = ARITY[kind]
-            if (n != 2 * arity + 3 or words[arity + 2] != "<-"
-                    or words.count("<-") != 1):
-                return None
-            gates.append(GateInstance(kind, tuple(words[arity + 3:]),
-                                      tuple(words[2:arity + 2])))
-        elif n < 2:
-            return None
-        elif key == "input" and not gates:
-            inputs += words[1:]
-        elif key == "const" and not gates:
-            for word in words[1:]:
-                m = _CONST_RE.fullmatch(word)
-                if m is None:
-                    return None
-                constants.append((m[1], int(m[2])))
-        elif key == "output":
-            for word in words[1:]:
-                m = _OUTPUT_RE.fullmatch(word)
-                if m is None:
-                    return None
-                outputs.append(m.groups())
-        elif key == "garbage":
-            garbage += words[1:]
-        elif key == "netlist" and n == 2 and name is None:
-            name = words[1]
-        elif (key == "version" and n == 2 and not version
-              and words[1] == str(FORMAT_VERSION)):
-            version = True
-        else:
-            return None
-    if name is None or not version:
-        return None
-    return Netlist(name, inputs, constants, gates, outputs, garbage)
-
-
 def parse_netlist(text: str) -> Netlist:
     """Parse a netlist document; raises :class:`NetlistParseError` carrying
     a positioned diagnostic for every problem in the text or, when the text
     has none, for every violation :func:`validate` finds.
 
-    Two passes share the work.  :func:`_accept` reads the document with no
-    position bookkeeping, and its netlist is returned when :func:`validate`
-    finds it legal.  Otherwise :class:`_Parser`, the one source of
-    diagnostics, reads the text again.  The result cannot differ from the
-    parser's alone: the accept pass refuses every statement, header and
-    token shape the parser refuses, and the parser's remaining checks are
-    on ids (an invalid or redeclared id, a gate input no earlier statement
-    defines, a repeated output name), each of which :func:`validate` also
-    reports, so such a text falls back too.  :func:`validate` reads the
-    inputs and constants before every gate, whatever lines declare them,
-    so the accept pass also refuses a declaration that follows a gate: a
-    gate may read a line declared below it only in such a text.  Text that
-    has a problem thus costs one extra accept pass, plus a second
-    :func:`validate` when the accept pass read it whole."""
-    net = _accept(text)
-    if net is not None and not validate(net):
-        return net
-    return _Parser(text).parse()
+    A quick read of :class:`_Parser` comes first, and its netlist is
+    returned when :func:`validate` passes it.  Only text the quick read
+    refuses, or whose netlist :func:`validate` rejects, is read again, by a
+    placed read, the one source of diagnostics.  The result cannot differ
+    from the placed read's alone.  Both reads apply the same rule to each
+    statement, so the quick read refuses every statement, header and token
+    shape the placed read diagnoses.  The placed read's remaining checks
+    are on ids (an invalid or redeclared id, a gate input no earlier
+    statement defines, a repeated output name), each of which
+    :func:`validate` also reports, so such text falls back too.
+    :func:`validate` reads the inputs and constants before every gate,
+    whatever lines declare them, so the quick read also refuses a
+    declaration below a gate: only in such text may a gate read a line
+    declared after it.  Text that has a problem thus costs one extra quick
+    read, plus a second :func:`validate` when the quick read built its
+    netlist."""
+    try:
+        net = _Parser(text, placed=False).parse()
+        if not validate(net):
+            return net
+    except _Refused:
+        pass
+    return _Parser(text, placed=True).parse()
 
 
 def _wrapped(keyword: str, items: list[str]) -> list[str]:

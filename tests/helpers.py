@@ -380,7 +380,7 @@ class _ReferenceParser:
         self.diags: list[Diagnostic] = []
         self.name: str | None = None
         self.header: _Token | None = None
-        self.version_seen = False
+        self.version: _Token | None = None
         self.inputs: list[str] = []
         self.constants: list[tuple[str, int]] = []
         self.gates: list[GateInstance] = []
@@ -418,7 +418,7 @@ class _ReferenceParser:
             handler(toks)
         if self.header is None:
             self.diags.append(Diagnostic(1, 1, "missing 'netlist <name>' header"))
-        if not self.version_seen:
+        if self.version is None:
             self.diags.append(Diagnostic(1, 1, "missing 'version 1' header"))
         if self.diags:
             raise NetlistParseError(self.diags)
@@ -450,7 +450,11 @@ class _ReferenceParser:
         self.name = toks[1].text
 
     def _stmt_version(self, toks):
-        self.version_seen = True
+        if self.version is not None:
+            self.err(toks[0], "version header redeclared (first at "
+                              f"{self.version.line}:{self.version.col})")
+            return
+        self.version = toks[0]
         if len(toks) != 2 or toks[1].text != str(FORMAT_VERSION):
             tok = toks[1] if len(toks) > 1 else toks[0]
             found = toks[1].text if len(toks) > 1 else "nothing"

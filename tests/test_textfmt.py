@@ -77,8 +77,8 @@ def _readme_netlist() -> str:
 
 
 def test_valid_documents_never_reach_the_diagnostic_parser(monkeypatch):
-    """The accept pass alone reads a legal document; the diagnostic parser
-    runs only for text that has a problem."""
+    """A quick read alone reads a legal document; a placed read, the one
+    source of diagnostics, runs only for text that has a problem."""
     rng = Random(22)
     docs = [serialize(build_design(d))
             for d in ["fa", "cla2", "csa4", "hsa16", "rca:1", "rca:8"]]
@@ -89,10 +89,12 @@ def test_valid_documents_never_reach_the_diagnostic_parser(monkeypatch):
     docs.append(_readme_netlist())
     want = [reference_parse_netlist(doc) for doc in docs]
 
-    def refuse(text):
-        raise AssertionError("the diagnostic parser ran on a legal document")
+    class QuickOnly(textfmt._Parser):
+        def __init__(self, text, placed):
+            assert not placed, "a placed read ran on a legal document"
+            super().__init__(text, placed)
 
-    monkeypatch.setattr(textfmt, "_Parser", refuse)
+    monkeypatch.setattr(textfmt, "_Parser", QuickOnly)
     assert [parse_netlist(doc) for doc in docs] == want
 
 
@@ -217,6 +219,12 @@ def test_repeated_netlist_header_diagnosed():
     bad = "netlist t\nversion 1\nnetlist u\ninput a\noutput O=a\n"
     assert [(d.line, d.col, d.message) for d in diags_of(bad)] == [
         (3, 1, "netlist header redeclared (first at 1:1)")]
+
+
+def test_repeated_version_header_diagnosed():
+    bad = "netlist t\nversion 1\nversion 1\ninput a\noutput O=a\n"
+    assert [(d.line, d.col, d.message) for d in diags_of(bad)] == [
+        (3, 1, "version header redeclared (first at 2:1)")]
 
 
 def test_redeclared_output_name_is_the_only_diagnostic():

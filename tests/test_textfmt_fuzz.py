@@ -57,7 +57,8 @@ def test_arbitrary_text_fails_only_with_positioned_diagnostics(text):
             assert 1 <= lineno <= lines and col >= 1 and message
 
 
-# the bad documents of test_textfmt.py, one per diagnostic class
+# the bad documents of test_textfmt.py, one per diagnostic class, then
+# text with a repeated header or a declaration below a gate
 BAD_DOCUMENTS = [
     "netlist t\nversion 1\ninput a b c\ngate XYZ x y z <- a b c\n"
     "output O=x P=y Q=z\n",
@@ -85,6 +86,11 @@ BAD_DOCUMENTS = [
     "gate F2G x y z <- late k0 k1\ngate F2G late p q <- a k2 k3\n"
     "output O=x\ngarbage y z p q\n",
     "netlist t\nversion 1\nnetlist u\ninput a\noutput O=a\n",
+    "netlist t\nversion 1\nversion 1\ninput a\noutput O=a\n",
+    "netlist t\nversion 1\ninput a\ngate FG x y <- a k\nconst k=0\n"
+    "output O=x P=y\n",
+    "netlist t\nversion 1\ninput a\ngate FG x y <- a b\ninput b\n"
+    "output O=x P=y\n",
 ]
 
 
@@ -130,10 +136,12 @@ def _with_examples(docs):
     return wrap
 
 
-# the bad documents of test_textfmt.py are checked against the reference
-# parser there, by its diags_of
+# every run checks the bad documents, and a legal document whose unread
+# input is declared below a gate
 @fuzz
 @_with_examples(BAD_DOCUMENTS)
+@example("netlist t\nversion 1\ninput a b\ngate FG x y <- a b\ninput c\n"
+         "output O=x P=y Q=c\n")
 @given(st.one_of(document, st.text(max_size=200), edited()))
 def test_parser_agrees_with_the_reference_parser(text):
     assert _outcome(text) == _outcome(text, reference_parse_netlist)
