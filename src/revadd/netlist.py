@@ -6,7 +6,11 @@ one sink (a gate input); source lines that no gate consumes must be declared
 either as named primary outputs or as garbage.  Equal boundary width
 (inputs + constants == outputs + garbage) then follows from gates having as
 many outputs as inputs.  Line ids and names must also be ones that the text
-format of :mod:`revadd.textfmt` reads back.
+format of :mod:`revadd.textfmt` reads back.  A value the text cannot hold at
+all (a name or id that is not a ``str``, a kind that is not a
+:class:`~revadd.gates.GateKind`, an entry that is not a pair) is refused with
+``TypeError`` when the netlist is built, so :func:`validate` judges only
+what a string can break.
 
 Simulation is word-parallel: every line carries a Python integer used as a
 bitmask with one bit per test vector, and the gate expressions from
@@ -30,7 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, reduce
-from itertools import repeat
+from itertools import chain, repeat
 from operator import getitem, itemgetter, xor
 from random import Random
 from typing import Callable, NamedTuple, Sequence
@@ -39,8 +43,6 @@ from .gates import ARITY, EVAL, CostVector, GateKind, ledger_cost
 
 EXHAUSTIVE_LIMIT = 20  # max primary-input width for exhaustive enumeration
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")  # a line id the text reads
-# the types and the length of a constant or output entry (see _all_pairs)
-_PAIR_TYPES, _TWO = frozenset((tuple, list)), frozenset((2,))
 
 # fault model -> transform of a line's value word under the fault mask
 FAULT_TRANSFORMS = {
@@ -94,11 +96,13 @@ class Netlist:
     """An immutable netlist; construct via :class:`NetlistBuilder`.
 
     The sequence fields are stored as tuples, whatever sequences they were
-    given as.  The structural violations of an instance are worked out once,
-    on the first :func:`validate`, and its slot program once, on the first
-    :func:`evaluate_lines`.  Both are kept on the instance outside the
-    dataclass fields, so equality, ``repr`` and ``dataclasses.replace``
-    ignore them.
+    given as.  Construction, ``dataclasses.replace`` included, raises
+    ``TypeError`` for a value the text format cannot hold (see
+    :func:`_refuse_foreign`).  The structural violations of an instance are
+    worked out once, on the first :func:`validate`, and its slot program
+    once, on the first :func:`evaluate_lines`.  Both are kept on the
+    instance outside the dataclass fields, so equality, ``repr`` and
+    ``dataclasses.replace`` ignore them.
     """
 
     name: str
@@ -111,6 +115,7 @@ class Netlist:
     def __post_init__(self):
         for f in ("inputs", "constants", "gates", "outputs", "garbage"):
             object.__setattr__(self, f, tuple(getattr(self, f)))
+        _refuse_foreign(self)
 
     @cached_property
     def _violations(self) -> tuple[Violation, ...]:
@@ -143,6 +148,50 @@ class Netlist:
 
     def boundary_out_width(self) -> int:
         return len(self.outputs) + len(self.garbage)
+
+
+def _refuse_foreign(net: Netlist):
+    """Raise ``TypeError`` when ``net`` holds a value that the text format
+    cannot hold: a constant or output entry that is not a 2-item tuple or
+    list, a gate kind that is not a :class:`GateKind`, or a name or line id
+    that is not a ``str``.  The message names the field and its first such
+    value.
+
+    No test makes a call per value: the entries' types and lengths are
+    gathered in sets, each gate's kind is compared by type, and the ids and
+    names of each field go through ``str.join``, which takes nothing but a
+    ``str``.  Only a failed test looks for the value."""
+    entries = net.constants + net.outputs
+    if not ({tuple, list}.issuperset(map(type, entries))
+            and {2}.issuperset(map(len, entries))):
+        _refuse({"constants": net.constants, "outputs": net.outputs},
+                "a 2-item tuple or list",
+                lambda e: isinstance(e, (tuple, list)) and len(e) == 2)
+    ids = {"name": [net.name], "inputs": net.inputs,
+           "constants": [*map(itemgetter(0), net.constants)], "gates": [],
+           "outputs": [*chain.from_iterable(net.outputs)],
+           "garbage": net.garbage}
+    gate_ids = ids["gates"]
+    for g in net.gates:
+        if type(g.kind) is not GateKind:  # an Enum with members: no subclass
+            raise TypeError(f"netlist gates holds {g.kind!r}, which is not "
+                            "a GateKind")
+        gate_ids += g.inputs
+        gate_ids += g.outputs
+    try:
+        " ".join(map(" ".join, ids.values()))
+    except TypeError:
+        _refuse(ids, "a str", lambda x: isinstance(x, str))
+
+
+def _refuse(fields: dict, what: str, ok):
+    """Raise ``TypeError`` at the first value in ``fields`` (field name ->
+    values) that ``ok`` refuses."""
+    for field, values in fields.items():
+        for x in values:
+            if not ok(x):
+                raise TypeError(f"netlist {field} holds {x!r}, which is "
+                                f"not {what}")
 
 
 @dataclass(frozen=True)
@@ -215,15 +264,17 @@ class NetlistBuilder:
         """Close the netlist; the lines that no gate reads and no output
         names become garbage, in :meth:`Netlist.all_lines` order.
 
-        Raises :class:`NetlistError` listing the :func:`validate` violations
-        of what was recorded, e.g. a line read twice (``fanout``), a gate
+        Raises ``TypeError`` when what was recorded holds a value the text
+        format cannot hold (see :func:`_refuse_foreign`), and
+        :class:`NetlistError` listing the :func:`validate` violations of
+        what was recorded, e.g. a line read twice (``fanout``), a gate
         reading an undefined line (``order``), a gate of the wrong arity
         (``width``), or a line defined twice or a constant that is not 0 or
         1 (``role``).  The violations found here stay on the netlist, so a
         valid one is never checked again."""
         net = Netlist(self.name, self._inputs, self._constants, self._gates,
                       outputs)
-        read = {lid for _, lid in filter(_is_pair, outputs)}
+        read = {lid for _, lid in net.outputs}
         for g in net.gates:
             read.update(g.inputs)
         # a line defined twice is listed once, so validate reports the
@@ -245,112 +296,19 @@ def validate(net: Netlist) -> list[Violation]:
     return list(net._violations)
 
 
-class _Shown:
-    """Stands in for an id or output name that cannot key a dict, so the
-    one pass of :func:`_find_violations` reports it as ``[role]``, like any
-    id or name that is not a string: equal to a stand-in for an equal
-    value, and shown as the value."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __eq__(self, other):
-        return isinstance(other, _Shown) and self.value == other.value
-
-    def __hash__(self):
-        return 0  # the value has no hash; only invalid netlists collide
-
-    def __repr__(self):
-        return repr(self.value)
-
-
-def _keyable(net: Netlist) -> Netlist:
-    """A copy of ``net`` with each id or output name that cannot key a dict
-    behind a :class:`_Shown` stand-in."""
-
-    def key(x):
-        if isinstance(x, str):
-            return x
-        try:
-            hash(x)
-        except TypeError:
-            return _Shown(x)
-        return x
-
-    return _relabel(net, key)
-
-
-def _relabel(net: Netlist, key) -> Netlist:
-    """A copy of ``net`` with each line id and output name mapped by
-    ``key``; a constant or output entry that is not a pair is kept as it
-    is."""
-
-    def keys(xs):
-        return tuple(map(key, xs))
-
-    return Netlist(
-        net.name, keys(net.inputs),
-        [(key(c[0]), c[1]) if _is_pair(c) else c for c in net.constants],
-        [GateInstance(g.kind, keys(g.inputs), keys(g.outputs))
-         for g in net.gates],
-        [keys(o) if _is_pair(o) else o for o in net.outputs],
-        keys(net.garbage))
-
-
-def _is_pair(entry) -> bool:
-    """Whether a constant or output entry has the one shape it may have: a
-    tuple or list of 2 items."""
-    return isinstance(entry, (tuple, list)) and len(entry) == 2
-
-
-def _all_pairs(entries) -> bool:
-    """True when every entry is a plain tuple or list of 2 items: a test
-    that makes no Python call per entry.  False leaves :func:`_is_pair` to
-    judge each entry."""
-    return (_PAIR_TYPES.issuperset(map(type, entries))
-            and _TWO.issuperset(map(len, entries)))
-
-
 def _find_violations(net: Netlist) -> tuple[Violation, ...]:
-    """The violations of ``net``, in the order :func:`validate` reports them.
-
-    A netlist of strings is judged as it is.  When an id or name cannot key
-    a dict, the pass raises ``TypeError`` and is run again on
-    :func:`_keyable`'s stand-ins, so a netlist of strings pays no per-id
-    test."""
-    try:
-        return _judge(net)
-    except TypeError:
-        return _judge(_keyable(net))
-
-
-def _tag(kind) -> str:
-    """How a violation names a gate's kind: a :class:`GateKind`'s tag, or
-    the ``repr`` of a kind that is not one."""
-    return kind.value if isinstance(kind, GateKind) else repr(kind)
-
-
-def _judge(net: Netlist) -> tuple[Violation, ...]:
-    """The one pass of :func:`_find_violations` over ids that key a dict.
+    """The violations of ``net``, in the order :func:`validate` reports them,
+    from one pass over its lines.
 
     A line's sinks are kept as cheap int references, in first-sink order:
     gate index ``i``, or ``~b`` for position ``b`` of
     :meth:`Netlist._boundary_lines` (an output, then garbage, as the slot
     program reads them).  ``describe`` names a reference, and is formatted
-    only for violations.
-
-    A constant or output entry that is not a pair is reported by its
-    ``repr``, and the rest of the netlist is judged without it.
+    only for violations.  Every id and name is a ``str`` (construction
+    refuses anything else), so the text rules judge only what a string can
+    break.
     """
     v: list[Violation] = []
-    if not _all_pairs(net.constants + net.outputs):
-        v += [Violation("role", f"{what} entry {e!r} is not a ({pair}) pair")
-              for what, pair, entries in (
-                  ("constant", "line, polarity", net.constants),
-                  ("output", "name, line", net.outputs))
-              for e in entries if not _is_pair(e)]
-        net = replace(net, constants=filter(_is_pair, net.constants),
-                      outputs=filter(_is_pair, net.outputs))
     defined: dict[str, None] = {}  # definition order
 
     def redefined(lid: str, what: str) -> Violation:
@@ -371,19 +329,16 @@ def _judge(net: Netlist) -> tuple[Violation, ...]:
 
     sinks: dict[str, list] = {}
     for idx, g in enumerate(net.gates):
-        n = ARITY[g.kind] if isinstance(g.kind, GateKind) else None
-        if n is None:
-            v.append(Violation("role", f"gate {idx} has unknown kind "
-                               f"{g.kind!r}", g.inputs + g.outputs))
-        elif len(g.inputs) != n or len(g.outputs) != n:
+        n = ARITY[g.kind]
+        if len(g.inputs) != n or len(g.outputs) != n:
             v.append(Violation(
                 "width", f"gate {idx} ({g.kind.value}) has {len(g.inputs)} "
                 f"inputs/{len(g.outputs)} outputs, arity is {n}",
-                g.inputs + g.outputs))
+                (*g.inputs, *g.outputs)))
         for lid in g.inputs:
             if lid not in defined:
                 v.append(Violation(
-                    "order", f"gate {idx} ({_tag(g.kind)}) reads {lid!r} "
+                    "order", f"gate {idx} ({g.kind.value}) reads {lid!r} "
                     "before any earlier source defines it", (lid,)))
             sinks.setdefault(lid, []).append(idx)
         for lid in g.outputs:
@@ -395,7 +350,7 @@ def _judge(net: Netlist) -> tuple[Violation, ...]:
 
     def describe(ref: int) -> str:
         if ref >= 0:
-            return f"gate {ref} ({_tag(net.gates[ref].kind)})"
+            return f"gate {ref} ({net.gates[ref].kind.value})"
         return f"output {net.outputs[~ref][0]}" if ~ref < nout else "garbage"
 
     for b, lid in enumerate(net._boundary_lines()):
@@ -415,11 +370,10 @@ def _judge(net: Netlist) -> tuple[Violation, ...]:
                 "dangling", f"line {lid!r} has no sink; it must be "
                 "consumed, a primary output, or garbage", (lid,)))
 
-    out_set = {lid for _, lid in net.outputs}
-    if out_set & set(net.garbage):
-        both = sorted(out_set & set(net.garbage), key=str)
+    both = sorted({lid for _, lid in net.outputs}.intersection(net.garbage))
+    if both:
         v.append(Violation("role", f"lines declared both output and garbage: "
-                           f"{', '.join(map(str, both))}", tuple(both)))
+                           f"{', '.join(both)}", tuple(both)))
     names: set[str] = set()
     for name, lid in net.outputs:
         if name in names:
@@ -429,15 +383,11 @@ def _judge(net: Netlist) -> tuple[Violation, ...]:
 
     # the text format must read every id and name back
     v += [Violation("role", f"invalid line id {lid!r}", (lid,))
-          for lid in defined
-          if not (isinstance(lid, str) and _ID_RE.fullmatch(lid))]
+          for lid in defined if not _ID_RE.fullmatch(lid)]
     for what, name, lines in [("netlist", net.name, ()),
                               *(("output", name, (lid,))
                                 for name, lid in net.outputs)]:
-        if not isinstance(name, str):
-            v.append(Violation("role", f"{what} name {name!r} is not a "
-                               "string", lines))
-        elif name.split() != [name] or "#" in name:
+        if name.split() != [name] or "#" in name:
             v.append(Violation("role", f"{what} name {name!r} is empty or "
                                "holds whitespace or '#'", lines))
     return tuple(v)

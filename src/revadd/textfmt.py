@@ -31,8 +31,7 @@ import re
 from dataclasses import dataclass
 
 from .gates import ARITY, GateKind
-from .netlist import (_ID_RE, GateInstance, Netlist, Violation, _all_pairs,
-                      _is_pair, _relabel, _tag, validate)
+from .netlist import _ID_RE, GateInstance, Netlist, Violation, validate
 
 FORMAT_VERSION = 1
 _WRAP = 8  # ids per declaration line when serializing
@@ -317,37 +316,18 @@ def _wrapped(keyword: str, items: list[str]) -> list[str]:
             for i in range(0, len(items), _WRAP)]
 
 
-def _entry_words(entries) -> list[str]:
-    """Each constant or output entry as ``a=b``, or by its ``repr`` when it
-    is not a pair."""
-    if _all_pairs(entries):
-        return [f"{a}={b}" for a, b in entries]
-    return [f"{e[0]}={e[1]}" if _is_pair(e) else repr(e) for e in entries]
-
-
 def serialize(net: Netlist) -> str:
     """Canonical text form; byte-stable for a given netlist.
 
-    A line id that is not a string, which :func:`validate` refuses, is
-    written as its ``repr``, as a gate kind that is not a ``GateKind`` and
-    a constant or output entry that is not a pair are; the text then reads
-    back only as a positioned diagnostic.  A netlist of strings is joined
-    as it is: only when a join raises ``TypeError`` is the pass run again on
-    ids shown by their ``repr``."""
-    try:
-        return _text(net)
-    except TypeError:
-        return _text(_relabel(net, lambda x: x if isinstance(x, str)
-                              else repr(x)))
-
-
-def _text(net: Netlist) -> str:
+    Every id and name of a netlist is a ``str`` and every kind a
+    ``GateKind``, since construction refuses anything else, so the text is
+    joined as it is."""
     lines = [f"netlist {net.name}", f"version {FORMAT_VERSION}"]
     lines += _wrapped("input", list(net.inputs))
-    lines += _wrapped("const", _entry_words(net.constants))
+    lines += _wrapped("const", [f"{lid}={pol}" for lid, pol in net.constants])
     for g in net.gates:
-        lines.append(f"gate {_tag(g.kind)} {' '.join(g.outputs)} "
+        lines.append(f"gate {g.kind.value} {' '.join(g.outputs)} "
                      f"<- {' '.join(g.inputs)}")
-    lines += _wrapped("output", _entry_words(net.outputs))
+    lines += _wrapped("output", [f"{name}={lid}" for name, lid in net.outputs])
     lines += _wrapped("garbage", list(net.garbage))
     return "\n".join(lines) + "\n"

@@ -90,53 +90,12 @@ def random_fanout_free(rng, name: str, inputs: int, constants: int,
     return nb.finish([(f"O{j}", lid) for j, lid in enumerate(chosen)])
 
 
-class _Unkeyed:
-    """The oracle's stand-in for an id or name that no set can hold: equal
-    to a stand-in for an equal value, and printed as the value."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __eq__(self, other):
-        return isinstance(other, _Unkeyed) and self.value == other.value
-
-    def __hash__(self):
-        return 0
-
-    def __repr__(self):
-        return repr(self.value)
-
-
-def _settable(x):
-    """``x``, or its stand-in when no set can hold it."""
-    if isinstance(x, str):
-        return x
-    try:
-        hash(x)
-    except TypeError:
-        return _Unkeyed(x)
-    return x
-
-
-def _settable_ids(xs) -> tuple:
-    return tuple(map(_settable, xs))
-
-
 def reference_validate(net: Netlist) -> list[Violation]:
     """Set-based oracle for :func:`revadd.validate`: a string description
     per sink, and "has no sink" violations in ``set`` order (which follows
     the hash seed).  It knows no duplicate-output-name check.  Ids and
     names the text format cannot read back are matched with this module's
-    own patterns, as :func:`reference_parse_netlist` reads them; every id
-    and output name goes through :func:`_settable` first."""
-    net = Netlist(net.name, _settable_ids(net.inputs),
-                  [(_settable(lid), val) for lid, val in net.constants],
-                  [GateInstance(g.kind, _settable_ids(g.inputs),
-                                _settable_ids(g.outputs))
-                   for g in net.gates],
-                  [(_settable(name), _settable(lid))
-                   for name, lid in net.outputs],
-                  _settable_ids(net.garbage))
+    own patterns, as :func:`reference_parse_netlist` reads them."""
     v: list[Violation] = []
     defined: set[str] = set()
     first_defined: list[str] = []
@@ -159,18 +118,13 @@ def reference_validate(net: Netlist) -> list[Violation]:
 
     sinks: dict[str, list[str]] = {}
     for idx, g in enumerate(net.gates):
-        if g.kind in list(GateKind):  # compared by ==, so a list is no error
-            tag = g.kind.value
-            n = ARITY[g.kind]
-            if len(g.inputs) != n or len(g.outputs) != n:
-                v.append(Violation(
-                    "width", f"gate {idx} ({tag}) has {len(g.inputs)} "
-                    f"inputs/{len(g.outputs)} outputs, arity is {n}",
-                    g.inputs + g.outputs))
-        else:
-            tag = repr(g.kind)
-            v.append(Violation("role", f"gate {idx} has unknown kind {tag}",
-                               g.inputs + g.outputs))
+        tag = g.kind.value
+        n = ARITY[g.kind]
+        if len(g.inputs) != n or len(g.outputs) != n:
+            v.append(Violation(
+                "width", f"gate {idx} ({tag}) has {len(g.inputs)} "
+                f"inputs/{len(g.outputs)} outputs, arity is {n}",
+                (*g.inputs, *g.outputs)))
         for lid in g.inputs:
             if lid not in defined:
                 v.append(Violation(
@@ -208,15 +162,12 @@ def reference_validate(net: Netlist) -> list[Violation]:
                            f"{', '.join(map(str, both))}", tuple(both)))
 
     for lid in first_defined:
-        if not (isinstance(lid, str) and _ID_RE.fullmatch(lid)):
+        if not _ID_RE.fullmatch(lid):
             v.append(Violation("role", f"invalid line id {lid!r}", (lid,)))
     named = [("netlist", net.name, ())]
     named += [("output", name, (lid,)) for name, lid in net.outputs]
     for what, name, lines in named:
-        if not isinstance(name, str):
-            v.append(Violation("role", f"{what} name {name!r} is not a "
-                               "string", lines))
-        elif not _NAME_RE.fullmatch(name):
+        if not _NAME_RE.fullmatch(name):
             v.append(Violation("role", f"{what} name {name!r} is empty or "
                                "holds whitespace or '#'", lines))
     return v
