@@ -50,9 +50,37 @@ UNREADABLE = [
 ]
 
 
-@pytest.mark.parametrize("net, message", UNREADABLE,
-                         ids=[m for _, m in UNREADABLE])
+def _unknown_kind(kind):
+    """One gate of kind ``kind``, which is not a ``GateKind``."""
+    gate = GateInstance(kind, ("a", "b"), ("x", "y"))
+    return Netlist("t", ["a", "b"], [], [gate], [("O", "x")], ["y"])
+
+
+# Values the text cannot hold at all, under the message validate once gave
+# them: (field, value, build) where ``build`` makes the netlist, which
+# construction refuses with TypeError naming ``field`` and ``value``
+FOREIGN = [
+    (("gates", "FG", lambda: _unknown_kind("FG")),
+     "gate 0 has unknown kind 'FG'"),
+    (("gates", ["FG"], lambda: _unknown_kind(["FG"])),
+     "gate 0 has unknown kind ['FG']"),
+    (("inputs", 5, lambda: _wire(lid=5)), "invalid line id 5"),
+    (("gates", ("y",), lambda: _gate_output(("y",))),
+     "invalid line id ('y',)"),
+    (("inputs", ["a"], lambda: Netlist("t", [["a"]], [], [], [("O", ["a"])])),
+     "invalid line id ['a']"),
+]
+
+
+@pytest.mark.parametrize("net, message", UNREADABLE + FOREIGN,
+                         ids=[m for _, m in UNREADABLE + FOREIGN])
 def test_validate_refuses_what_the_parser_cannot_read_back(net, message):
+    if isinstance(net, tuple):
+        # refused before validate or serialize could see it
+        field, value, build = net
+        with _refused(field, value):
+            build()
+        return
     assert [str(v) for v in validate(net)] == [f"[role] {message}"]
     try:
         # a '#' starts a comment, so the text may read as another netlist
