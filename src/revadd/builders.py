@@ -10,7 +10,6 @@ all multi-bit operands are little-endian (line 0 = least significant bit).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .gates import GateKind
 from .netlist import Netlist, NetlistBuilder
@@ -19,19 +18,6 @@ MIG = GateKind.MIG
 F2G = GateKind.F2G
 NFT = GateKind.NFT
 BLOCK = 4  # operand bits per carry-skip block; _csa_block builds only these
-
-
-@dataclass(frozen=True)
-class AdderSpec:
-    """Operand geometry of a carry-skip design, in whole blocks."""
-
-    width: int
-
-    def __post_init__(self):
-        if self.width < 1:
-            raise ValueError("operand width must be positive")
-        if self.width % BLOCK:
-            raise ValueError("width must be a whole number of blocks")
 
 
 def _fa_stage(nb: NetlistBuilder, a: str, b: str, cin: str, tag: str):
@@ -64,7 +50,7 @@ def build_rca(n: int) -> Netlist:
     """n-bit ripple-carry adder: each stage's carry-out feeds the next
     stage's carry-in.  2n MIG, 2n constants, 3n garbage."""
     if not 1 <= n <= 16:
-        raise ValueError(f"ripple width {n} out of range 1..16")
+        raise ValueError("ripple width out of range 1..16")
     nb = NetlistBuilder(f"rca{n}")
     a = [nb.input(f"a{i}") for i in range(n)]
     b = [nb.input(f"b{i}") for i in range(n)]
@@ -166,16 +152,17 @@ def _csa_block(nb: NetlistBuilder, a, b, cin: str, tag: str):
     return sums, cout
 
 
-def _carry_skip_adder(name: str, spec: AdderSpec) -> Netlist:
-    """A chain of 4-bit carry-skip blocks, each block's carry-out wired
-    directly as the next block's carry-in.  A lone block's line ids carry no
-    prefix; block i of a longer chain prefixes its ids with ``b{i}_``."""
+def _carry_skip_adder(name: str, width: int) -> Netlist:
+    """A chain of ``width // BLOCK`` 4-bit carry-skip blocks (``width`` a
+    positive multiple of ``BLOCK``), each block's carry-out wired directly
+    as the next block's carry-in.  A lone block's line ids carry no prefix;
+    block i of a longer chain prefixes its ids with ``b{i}_``."""
     nb = NetlistBuilder(name)
-    a = [nb.input(f"a{i}") for i in range(spec.width)]
-    b = [nb.input(f"b{i}") for i in range(spec.width)]
+    a = [nb.input(f"a{i}") for i in range(width)]
+    b = [nb.input(f"b{i}") for i in range(width)]
     carry = nb.input("cin")
     outs = []
-    nblocks = spec.width // BLOCK
+    nblocks = width // BLOCK
     for blk in range(nblocks):
         lo = blk * BLOCK
         hi = lo + BLOCK
@@ -189,12 +176,12 @@ def _carry_skip_adder(name: str, spec: AdderSpec) -> Netlist:
 def build_csa4() -> Netlist:
     """4-bit carry-skip adder: 8 MIG + 4 NFT + 2 F2G, 15 constants,
     19 garbage; behavior identical to the 4-bit ripple-carry adder."""
-    return _carry_skip_adder("csa4", AdderSpec(4))
+    return _carry_skip_adder("csa4", 4)
 
 
 def build_hsa16() -> Netlist:
     """16-bit high-speed adder: four 4-bit carry-skip blocks."""
-    return _carry_skip_adder("hsa16", AdderSpec(16))
+    return _carry_skip_adder("hsa16", 16)
 
 
 # CLI name -> builder; ``<n>`` stands for the builder's one integer argument
@@ -222,12 +209,15 @@ def build_design(name: str) -> Netlist:
     later call returns the same instance, with its violations and slot
     program already worked out.  The key is the builder and its integer
     argument, written in ASCII digits, so ``rca:8`` and ``rca:008`` share
-    one netlist; a build that raises is not kept.
+    one netlist; a build that raises is not kept.  ``int`` reads no
+    decimal longer than Python's digit limit (640 digits at the least), so
+    a longer argument is handed to the builder as infinite, which is past
+    every builder's range.
     """
     key, colon, arg = name.partition(":")
     builder = _DESIGNS.get(key + ":<n>" if colon else key)
     if builder is not None and (not colon or re.fullmatch(r"[0-9]+", arg)):
-        args = (int(arg),) if colon else ()
+        args = (int(arg) if len(arg) < 640 else float("inf"),) if colon else ()
         net = _BUILT.get((builder, *args))
         if net is None:
             net = _BUILT[(builder, *args)] = builder(*args)

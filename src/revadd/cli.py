@@ -113,10 +113,16 @@ def _sample_count(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _parse_value(text: str) -> int:
+def _parse_value(text: str) -> int | float:
+    """The value ``text`` writes.  ``int`` reads no decimal longer than
+    Python's digit limit (640 digits at the least), so such a decimal is
+    taken as infinite, which fits no operand.  It is at least ``10**640``,
+    so that is wrong only for an operand of more than 2,126 bits."""
     try:
         return int(text, 0)
     except ValueError:
+        if re.fullmatch(r"[+-]?[1-9](_?[0-9])*", text):
+            return float("inf")
         raise UsageError(f"cannot parse value {text!r} "
                          "(use decimal, 0x hex or 0b binary)")
 
@@ -145,8 +151,9 @@ def _assign_inputs(net: Netlist, assignments: str) -> list[int]:
     bits = {}
     for key, val in values.items():
         width = len(groups[key])
+        # the value is not printed: it may run to thousands of digits
         if not 0 <= val < (1 << width):
-            raise UsageError(f"operand {key!r} value {val} does not fit in "
+            raise UsageError(f"operand {key!r} value does not fit in "
                              f"{width} bit(s)")
         for pos, lid in enumerate(groups[key]):
             bits[lid] = (val >> pos) & 1

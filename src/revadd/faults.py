@@ -116,10 +116,7 @@ def parity_detects(net: Netlist, fault_free_inputs, observed) -> bool:
 
 def _pack(words, nbytes: int) -> int:
     """Lay ``words`` side by side in slots of ``nbytes`` bytes, the first
-    word lowest.  Each word must fit its slot; a lone word is its own
-    packing."""
-    if len(words) == 1:
-        return words[0]
+    word lowest.  Each word must fit its slot."""
     return int.from_bytes(b"".join(w.to_bytes(nbytes, "little")
                                    for w in words), "little")
 

@@ -84,10 +84,8 @@ class _Parser:
                  "out_names")
 
     def __init__(self, text: str, placed: bool):
-        lines = text.split("\n")
-        # each line's body, what precedes its "#"; most texts have no "#"
-        self.lines = ([ln.partition("#")[0] for ln in lines] if "#" in text
-                      else lines)
+        # each line's body, what precedes its "#"
+        self.lines = [ln.partition("#")[0] for ln in text.split("\n")]
         self.placed = placed
         self.diags: list[Diagnostic] = []
         self.name: str | None = None

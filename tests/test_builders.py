@@ -6,10 +6,10 @@ import pytest
 
 from helpers import (bits_to_int, check_adder_exhaustive, int_to_bits,
                      operand_vector)
-from revadd import (AdderSpec, GateKind, build_cla2, build_csa4,
-                    build_design, build_full_adder, build_hsa16, build_rca,
-                    builders, gates, is_parity_preserving_circuit, metrics,
-                    netlist, simulate, truth_table, validate)
+from revadd import (GateKind, build_cla2, build_csa4, build_design,
+                    build_full_adder, build_hsa16, build_rca, builders, gates,
+                    is_parity_preserving_circuit, metrics, netlist, simulate,
+                    truth_table, validate)
 
 EXPECTED_METRICS = {
     "fa": ({"MIG": 2}, 2, (6, 4, 2), 2, 3),
@@ -142,15 +142,6 @@ def test_rca_garbage_and_constants_scale_linearly():
         net = build_rca(n)
         assert len(net.constants) == 2 * n
         assert len(net.garbage) == 3 * n
-
-
-def test_adder_spec_invariants():
-    assert AdderSpec(16).width == 16
-    for width in (2, 6, 18):
-        with pytest.raises(ValueError, match="whole number of blocks"):
-            AdderSpec(width)
-    with pytest.raises(ValueError, match="positive"):
-        AdderSpec(width=0)
 
 
 def test_build_design_registry():

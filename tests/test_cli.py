@@ -263,6 +263,23 @@ def test_out_of_range_design_width_is_a_usage_error(capsys, argv):
     assert err.startswith("error: ripple width") and "1..16" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("sim", "fa", "--inputs", f"A=0x{'F' * 5000},B=1,Cin=1"),
+     "operand 'a' value does not fit in 1 bit(s)"),
+    (("sim", "fa", "--inputs", f"A=0b{'1' * 20000},B=1,Cin=1"),
+     "operand 'a' value does not fit in 1 bit(s)"),
+    (("sim", "fa", "--inputs", f"A={'9' * 5000},B=1,Cin=1"),
+     "operand 'a' value does not fit in 1 bit(s)"),
+    (("sim", "rca:4", "--inputs", f"A=1,B=-{'9' * 5000},Cin=0"),
+     "operand 'b' value does not fit in 4 bit(s)"),
+    (("build", f"rca:{'9' * 5000}"), "ripple width out of range 1..16"),
+], ids=["hex", "binary", "decimal", "negative-decimal", "design-width"])
+def test_oversized_integers_are_usage_errors_that_do_not_echo_them(
+        capsys, argv, message):
+    # Python converts no decimal string longer than its digit limit
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_exhaustive_campaign_over_the_limit_is_a_usage_error(capsys):
     code, out, err = run(capsys, "faults", "hsa16")
     assert code == 2 and out == ""

@@ -108,6 +108,14 @@ def test_a_declaration_below_the_gate_that_reads_it_is_refused():
                 "input/const/gate statement")]
 
 
+def test_an_input_below_the_gate_that_reads_it_is_refused():
+    bad = ("netlist t\nversion 1\ninput a\ngate FG x y <- a b\n"
+           "input b\noutput X=x Y=y\n")
+    assert [(d.line, d.col, d.message) for d in diags_of(bad)] == [
+        (4, 18, "gate input 'b' is not defined by any earlier "
+                "input/const/gate statement")]
+
+
 def test_unknown_gate_kind_is_a_positioned_semantic_error():
     bad = ("netlist t\nversion 1\ninput a b c\n"
            "gate XYZ x y z <- a b c\noutput O=x P=y Q=z\n")
