@@ -5,6 +5,11 @@ carry-look-ahead adder, a 4-bit carry-skip adder, and a 16-bit high-speed
 adder made of four carry-skip blocks.  Gate multisets, constant counts and
 garbage counts reproduce the reference composition of each design exactly;
 all multi-bit operands are little-endian (line 0 = least significant bit).
+
+The ripple-carry, carry-skip and high-speed adders are one carry chain
+(``_carry_chain``) over different cells: a full adder per bit, or a
+carry-skip block per four bits.  The chain makes their shared ports and
+threads the carry from each cell into the next.
 """
 
 from __future__ import annotations
@@ -36,6 +41,29 @@ def _fa_stage(nb: NetlistBuilder, a: str, b: str, cin: str, tag: str):
     return s, cout, p_t
 
 
+def _carry_chain(name: str, width: int, step: int, cell) -> Netlist:
+    """A ``width``-bit adder: a carry chain of cells of ``step`` bits each
+    (``width`` a multiple of ``step``).
+
+    The ports are the ones every multi-bit adder here shares, and that
+    ``sim`` groups into operands: inputs ``a0..`` and ``b0..`` (bit 0
+    first) and ``cin``; outputs ``S0..`` and ``Cout``.  ``cell(nb, a, b,
+    carry, i)`` builds cell ``i`` over its ``step`` bits of each operand
+    and the carry into it, and returns the cell's sums (low bit first) and
+    its carry-out, which is the next cell's carry-in.
+    """
+    nb = NetlistBuilder(name)
+    a = [nb.input(f"a{i}") for i in range(width)]
+    b = [nb.input(f"b{i}") for i in range(width)]
+    carry = nb.input("cin")
+    sums = []
+    for i, lo in enumerate(range(0, width, step)):
+        s, carry = cell(nb, a[lo:lo + step], b[lo:lo + step], carry, i)
+        sums += s
+    return nb.finish([(f"S{i}", s) for i, s in enumerate(sums)]
+                     + [("Cout", carry)])
+
+
 def build_full_adder() -> Netlist:
     """1-bit full adder: 2 MIG, 2 constants, 3 garbage, outputs Sum/Cout."""
     nb = NetlistBuilder("fa")
@@ -46,21 +74,20 @@ def build_full_adder() -> Netlist:
     return nb.finish([("Sum", s), ("Cout", cout)])
 
 
+def _rca_cell(nb: NetlistBuilder, a, b, carry: str, i: int):
+    """Stage ``i`` of a ripple-carry adder: one full adder tagged
+    ``fa{i}_``."""
+    s, carry, _ = _fa_stage(nb, a[0], b[0], carry, f"fa{i}_")
+    return [s], carry
+
+
 def build_rca(n: int) -> Netlist:
-    """n-bit ripple-carry adder: each stage's carry-out feeds the next
-    stage's carry-in.  2n MIG, 2n constants, 3n garbage."""
+    """n-bit ripple-carry adder: a chain of full-adder cells, each stage's
+    carry-out feeding the next stage's carry-in.  2n MIG, 2n constants,
+    3n garbage."""
     if not 1 <= n <= 16:
         raise ValueError("ripple width out of range 1..16")
-    nb = NetlistBuilder(f"rca{n}")
-    a = [nb.input(f"a{i}") for i in range(n)]
-    b = [nb.input(f"b{i}") for i in range(n)]
-    carry = nb.input("cin")
-    outs = []
-    for i in range(n):
-        s, carry, _ = _fa_stage(nb, a[i], b[i], carry, f"fa{i}_")
-        outs.append((f"S{i}", s))
-    outs.append(("Cout", carry))
-    return nb.finish(outs)
+    return _carry_chain(f"rca{n}", n, 1, _rca_cell)
 
 
 def build_cla2() -> Netlist:
@@ -154,23 +181,13 @@ def _csa_block(nb: NetlistBuilder, a, b, cin: str, tag: str):
 
 def _carry_skip_adder(name: str, width: int) -> Netlist:
     """A chain of ``width // BLOCK`` 4-bit carry-skip blocks (``width`` a
-    positive multiple of ``BLOCK``), each block's carry-out wired directly
-    as the next block's carry-in.  A lone block's line ids carry no prefix;
-    block i of a longer chain prefixes its ids with ``b{i}_``."""
-    nb = NetlistBuilder(name)
-    a = [nb.input(f"a{i}") for i in range(width)]
-    b = [nb.input(f"b{i}") for i in range(width)]
-    carry = nb.input("cin")
-    outs = []
-    nblocks = width // BLOCK
-    for blk in range(nblocks):
-        lo = blk * BLOCK
-        hi = lo + BLOCK
-        tag = f"b{blk}_" if nblocks > 1 else ""
-        sums, carry = _csa_block(nb, a[lo:hi], b[lo:hi], carry, tag)
-        outs.extend((f"S{lo + i}", s) for i, s in enumerate(sums))
-    outs.append(("Cout", carry))
-    return nb.finish(outs)
+    positive multiple of ``BLOCK``, unchecked), each block's carry-out
+    wired directly as the next block's carry-in.  A lone block's line ids
+    carry no prefix; block i of a longer chain prefixes its ids with
+    ``b{i}_``."""
+    return _carry_chain(name, width, BLOCK, lambda nb, a, b, carry, i:
+                        _csa_block(nb, a, b, carry,
+                                   f"b{i}_" if width > BLOCK else ""))
 
 
 def build_csa4() -> Netlist:
@@ -210,13 +227,15 @@ def build_design(name: str) -> Netlist:
     program already worked out.  The key is the builder and its integer
     argument, written in ASCII digits, so ``rca:8`` and ``rca:008`` share
     one netlist; a build that raises is not kept.  ``int`` reads no
-    decimal longer than Python's digit limit (640 digits at the least), so
-    a longer argument is handed to the builder as infinite, which is past
-    every builder's range.
+    decimal longer than Python's digit limit (640 digits at the least),
+    and counts leading zeros toward it, so the zeros are dropped first and
+    a still longer argument is handed to the builder as infinite, which is
+    past every builder's range.
     """
     key, colon, arg = name.partition(":")
     builder = _DESIGNS.get(key + ":<n>" if colon else key)
     if builder is not None and (not colon or re.fullmatch(r"[0-9]+", arg)):
+        arg = arg.lstrip("0") or "0"
         args = (int(arg) if len(arg) < 640 else float("inf"),) if colon else ()
         net = _BUILT.get((builder, *args))
         if net is None:

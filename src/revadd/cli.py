@@ -99,30 +99,65 @@ def _operand_groups(line_ids: tuple[str, ...]
                              for name, bits in groups.items()})
 
 
-def _sample_count(text: str) -> int:
-    """argparse type for ``--samples``: a count that the library would
-    refuse (below 1 or above ``1 << EXHAUSTIVE_LIMIT``) is a usage error
-    with the library's wording."""
+# a decimal as ``int`` reads it: sign, leading zeros, then the other digits
+# (the zeros are matched lazily, so a long run of them costs linear time)
+_DECIMAL = re.compile(r"\s*([+-]?)(?:0_?)*?(0|[1-9](?:_?[0-9])*)\s*")
+
+
+def _read_int(text: str, base: int = 10) -> int | float:
+    """``int(text, base)`` for base 10 or 0, past Python's digit limit.
+
+    ``int`` reads no decimal of more digits than the limit (640 at the
+    least), and counts leading zeros toward it.  Here such a decimal is
+    read past its leading zeros (which base 0 refuses, as ``int`` does),
+    and one still too long, so at least ``10**640``, is taken as infinite,
+    past every range a caller accepts.
+    """
     try:
-        count = int(text)
+        return int(text, base)
+    except ValueError:
+        m = _DECIMAL.fullmatch(text)
+        if m is None or base == 0 and m[2] != "0" and m.start(2) > m.end(1):
+            raise
+        try:
+            return int(m[1] + m[2])
+        except ValueError:
+            return float("inf")
+
+
+def _option_int(text: str) -> int:
+    """argparse type for ``--seed`` (and ``--samples``, through
+    ``_sample_count``): ``int(text)``, but a decimal too long for ``int``
+    is refused without its digits."""
+    try:
+        value = _read_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value == float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"value has more than {sys.get_int_max_str_digits()} digits")
+    return value
+
+
+def _sample_count(text: str) -> int:
+    """argparse type for ``--samples``: an integer option (``_option_int``),
+    and a count that the library would refuse (below 1 or above
+    ``1 << EXHAUSTIVE_LIMIT``) is a usage error with the library's
+    wording."""
     try:
-        return _vector_count(None, count)
+        return _vector_count(None, _option_int(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
 def _parse_value(text: str) -> int | float:
-    """The value ``text`` writes.  ``int`` reads no decimal longer than
-    Python's digit limit (640 digits at the least), so such a decimal is
-    taken as infinite, which fits no operand.  It is at least ``10**640``,
+    """The value ``text`` writes: a decimal, or an ``0x``/``0b``/``0o``
+    literal (``_read_int`` in base 0).  A decimal too long for ``int`` is
+    taken as infinite, which fits no operand; it is at least ``10**640``,
     so that is wrong only for an operand of more than 2,126 bits."""
     try:
-        return int(text, 0)
+        return _read_int(text, 0)
     except ValueError:
-        if re.fullmatch(r"[+-]?[1-9](_?[0-9])*", text):
-            return float("inf")
         raise UsageError(f"cannot parse value {text!r} "
                          "(use decimal, 0x hex or 0b binary)")
 
@@ -289,7 +324,7 @@ def _parser() -> tuple[argparse.ArgumentParser,
     p.add_argument("design")
     p.add_argument("--samples", type=_sample_count, default=4096,
                    help="vectors for sampled parity check on wide netlists")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_option_int, default=0)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("metrics", help="gate counts, cost, constants, garbage")
@@ -302,7 +337,7 @@ def _parser() -> tuple[argparse.ArgumentParser,
     p.add_argument("--model", choices=FAULT_MODELS, default="flip")
     p.add_argument("--samples", type=_sample_count,
                    help="vectors per fault site (default: exhaustive)")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_option_int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_faults)
 

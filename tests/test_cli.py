@@ -280,6 +280,35 @@ def test_oversized_integers_are_usage_errors_that_do_not_echo_them(
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("verify", "fa", "--samples", "9" * 5000), "--samples"),
+    (("faults", "fa", "--samples", "4", "--seed", "9" * 5000), "--seed"),
+    (("verify", "hsa16", "--seed", "-" + "9" * 5000), "--seed"),
+    (("faults", "fa", "--samples", "0" * 5000 + "9" * 4400, "--seed", "1"),
+     "--samples"),
+], ids=["samples", "seed", "negative-seed", "samples-past-zeros"])
+def test_oversized_option_values_are_usage_errors_that_do_not_echo_them(
+        capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {option}: value has more than "
+                        f"{sys.get_int_max_str_digits()} digits\n")
+    assert "99999" not in err
+
+
+def test_option_values_and_design_widths_are_read_past_leading_zeros(capsys):
+    # Python counts leading zeros toward its digit limit; the value is small
+    zeros = "0" * 5000
+    assert run(capsys, "faults", "fa", "--samples", zeros + "4",
+               "--seed", zeros + "1") == run(capsys, "faults", "fa",
+                                             "--samples", "4", "--seed", "1")
+    assert run(capsys, "sim", "fa", "--inputs", f"A={zeros},B=1,Cin=1") == run(
+        capsys, "sim", "fa", "--inputs", "A=0,B=1,Cin=1")
+    assert run(capsys, "build", f"rca:{zeros}8") == run(capsys, "build",
+                                                         "rca:8")
+    assert build_design(f"rca:{zeros}8") is build_design("rca:8")
+
+
 def test_exhaustive_campaign_over_the_limit_is_a_usage_error(capsys):
     code, out, err = run(capsys, "faults", "hsa16")
     assert code == 2 and out == ""

@@ -1,5 +1,6 @@
 """Netlist text format: round trips, byte stability, positioned diagnostics."""
 
+import hashlib
 import os
 import sys
 from random import Random
@@ -41,6 +42,16 @@ def test_serialize_is_byte_stable_and_idempotent(design):
     text2 = serialize(build_design(design))
     assert text1 == text2
     assert serialize(parse_netlist(text1)) == text1
+
+
+def test_every_built_in_design_serializes_to_the_pinned_bytes():
+    # one running sha256 over the text of all 20 designs, in this order
+    digest = hashlib.sha256()
+    for design in ["fa", "cla2", "csa4", "hsa16",
+                   *(f"rca:{n}" for n in range(1, 17))]:
+        digest.update(serialize(build_design(design)).encode("ascii"))
+    assert digest.hexdigest() == ("c8b8b0c791236308ae4a438aaf67540825bafc06"
+                                  "bb8be3306e62f3133d7d49ed")
 
 
 def test_full_adder_document_shape():
