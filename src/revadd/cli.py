@@ -150,6 +150,16 @@ def _sample_count(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _quote(text: str) -> str:
+    """``repr(text)`` for a usage message, clipped when ``text`` is longer
+    than 40 characters to the reprs of its first and last 20, joined by
+    ``...``, and its length, so a message stays short whatever was
+    typed."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:20]!r}...{text[-20:]!r} ({len(text):,} characters)"
+
+
 def _parse_value(text: str) -> int | float:
     """The value ``text`` writes: a decimal, or an ``0x``/``0b``/``0o``
     literal (``_read_int`` in base 0).  A decimal too long for ``int`` is
@@ -158,7 +168,7 @@ def _parse_value(text: str) -> int | float:
     try:
         return _read_int(text, 0)
     except ValueError:
-        raise UsageError(f"cannot parse value {text!r} "
+        raise UsageError(f"cannot parse value {_quote(text)} "
                          "(use decimal, 0x hex or 0b binary)")
 
 
@@ -170,15 +180,15 @@ def _assign_inputs(net: Netlist, assignments: str) -> list[int]:
         if not part:
             continue
         if "=" not in part:
-            raise UsageError(f"malformed input assignment {part!r} "
+            raise UsageError(f"malformed input assignment {_quote(part)} "
                              "(expected name=value)")
         name, _, raw = part.partition("=")
         key = name.strip().lower()
         if key not in groups:
-            raise UsageError(f"unknown operand {name!r}; this netlist has: "
-                             f"{', '.join(sorted(groups))}")
+            raise UsageError(f"unknown operand {_quote(name)}; this netlist "
+                             f"has: {', '.join(sorted(groups))}")
         if key in values:
-            raise UsageError(f"operand {name!r} assigned twice")
+            raise UsageError(f"operand {_quote(name)} assigned twice")
         values[key] = _parse_value(raw.strip())
     missing = sorted(set(groups) - set(values))
     if missing:

@@ -23,10 +23,15 @@ The evaluator returns that list, one word per line in
 then garbage) from it by slot.
 
 Truth tables and the reversibility check read the boundary words as byte
-columns, one byte per vector for each group of 8 lines (:func:`_columns`).
-A truth table builds its rows from shared row tables indexed by those
-bytes, so equal rows share one tuple and a table allocates about one tuple
-per vector.
+columns, one byte per vector for each group of 8 lines, which
+:func:`_columns` makes with one 8x8 bit transpose per group (three delta
+swaps over every 64-bit lane of one int).  A truth table reads its input
+rows, and the output and garbage rows of groups of up to 16 lines, from
+row tables that are built once per width and kept, indexed by those
+bytes.  Equal rows thus share one tuple across tables, and a table
+allocates little more than one ``(ins, outs, garb)`` tuple per vector.
+The kept tables hold at most 2^17 rows (11 MiB for 16 lines, 10 MiB for
+9 to 15); wider input rows are built per call.
 """
 
 from __future__ import annotations
@@ -535,8 +540,21 @@ def _vectors(net: Netlist, samples: int | None = None,
     return masks, (1 << count) - 1
 
 
-# binary digit -> 0 or 1 << j, for bit j of a byte
-_DIGIT_BITS = [bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8)]
+# the three delta swaps of an 8x8 bit transpose, within each 64-bit lane:
+# (shift, mask of the lane bits that move up by shift)
+_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+          (28, 0x00000000F0F0F0F0))
+
+
+@cache
+def _lane_masks(size: int) -> tuple[tuple[int, int], ...]:
+    """:data:`_SWAPS` with each lane mask repeated across ``size`` 64-bit
+    lanes; built once per lane count and kept.  An exhaustive check over
+    2^n vectors has 2^n / 8 lanes and keeps 3 * 2^n bytes, so at most
+    6 MB over every n up to ``EXHAUSTIVE_LIMIT``."""
+    return tuple((shift, int.from_bytes(lane.to_bytes(8, "little") * size,
+                                        "little"))
+                 for shift, lane in _SWAPS)
 
 
 def _columns(masks, total: int):
@@ -544,36 +562,58 @@ def _columns(masks, total: int):
     ``g`` has bit ``j`` set where bit ``v`` of mask ``8 * g + j`` is set,
     for v in 0..total-1.
 
-    A mask is written out once as a binary string (high bit first), each
-    digit is translated to 0 or ``1 << j``, and the group's strings are read
-    as big-endian ints and ORed, so byte ``v`` of their little-endian form
-    is the group's byte of vector ``v``.  Every step is one C-level pass
-    over ``total`` digits or bytes."""
-    fmt = f"0{total}b"
+    The group's masks are written out once each with ``to_bytes`` and
+    interleaved into one buffer by strided slice assignment, so 64-bit
+    lane ``i`` of the buffer, read as one little-endian int, holds byte
+    ``i`` of mask ``j`` at its byte ``j``: an 8x8 bit matrix per lane.
+    Three delta swaps over the whole int (Warren, *Hacker's Delight*,
+    section 7-3), with their lane masks repeated across the lanes,
+    transpose every lane at once, so lane ``i``'s byte ``b`` is then the
+    group's byte of vector ``8 * i + b``.  The repeated lane masks come
+    from :func:`_lane_masks`.  Every step is one C-level pass over
+    ``total`` bytes, about 15 per group of 8 masks."""
+    size = (total + 7) // 8
+    swaps = _lane_masks(size)
     for g in range(0, len(masks), 8):
-        column = 0
-        for table, m in zip(_DIGIT_BITS, masks[g:g + 8]):
-            column |= int.from_bytes(
-                format(m, fmt).encode("ascii").translate(table), "big")
-        yield column.to_bytes(total, "little")
+        buf = bytearray(8 * size)
+        for j, m in enumerate(masks[g:g + 8]):
+            buf[j::8] = m.to_bytes(size, "little")
+        x = int.from_bytes(buf, "little")
+        for shift, lanes in swaps:
+            t = (x ^ (x >> shift)) & lanes
+            x ^= t ^ (t << shift)
+        yield x.to_bytes(8 * size, "little")[:total]
+
+
+# byte -> bit j of it, as a translate table, for j in 0..7
+_BIT_OF_BYTE = [bytes((b >> j) & 1 for b in range(256)) for j in range(8)]
 
 
 @cache
-def _byte_rows(k: int) -> tuple[tuple[int, ...], ...]:
-    """All 2^k rows of k <= 8 bits in order, row v holding bit j of v at
-    position j; built on first use and shared by every later call (at most
-    511 rows over k = 0..8)."""
-    return tuple(tuple((v >> j) & 1 for j in range(k)) for v in range(1 << k))
+def _row_table(k: int) -> tuple[tuple[int, ...], ...]:
+    """All 2^k rows of k bits in order, row v holding bit j of v at
+    position j; built on first use and shared by every later call.  Above
+    8 bits, row ``v`` is the 8-bit row of its low byte joined to the row
+    of ``v >> 8``.  Only :func:`_enumeration` and :func:`_rows` call it,
+    for k <= 16, so the tables it keeps are at most 2^17 rows: 11 MiB for
+    the 16-bit table, 10 MiB for 9 to 15 bits and 1 MiB for 9 to 12."""
+    if k <= 8:
+        return tuple(tuple((v >> j) & 1 for j in range(k))
+                     for v in range(1 << k))
+    low = _row_table(8)
+    return tuple(lo + hi for hi in _row_table(k - 8) for lo in low)
 
 
 def _enumeration(k: int) -> Sequence[tuple[int, ...]]:
     """All 2^k rows of k bits in order, row v holding bit j of v at
-    position j.  Up to 8 bits this is the shared :func:`_byte_rows` table;
-    above, row ``v`` is the 8-bit row of its low byte joined to the row of
-    ``v >> 8``, one new tuple per row."""
-    if k <= 8:
-        return _byte_rows(k)
-    low = _byte_rows(8)
+    position j.  Up to 16 bits this is the shared :func:`_row_table`, so
+    every truth table of one width reads the same row tuples; above,
+    row ``v`` is the 8-bit row of its low byte joined to the shared row
+    of ``v >> 8``, one new tuple per row, built for the call and not
+    kept."""
+    if k <= 16:
+        return _row_table(k)
+    low = _row_table(8)
     return [lo + hi for hi in _enumeration(k - 8) for lo in low]
 
 
@@ -582,32 +622,33 @@ def _rows(masks, total: int):
     bit v of every mask, for v in 0..total-1.
 
     A group of k <= 8 masks reads each row from the shared
-    :func:`_byte_rows` table, indexed by its :func:`_columns` byte.  One of
-    9 to 16 masks over at least 8 vectors per possible row (2^(k+3) <=
-    ``total``) reads it from 256-row pages of :func:`_enumeration`, built
-    for the call and indexed by its high and low bytes.  Equal rows then
+    :func:`_row_table`, indexed by its :func:`_columns` byte.  One of 9 to
+    16 masks over at least 8 vectors per possible row (2^(k+3) <=
+    ``total``) reads it from 256-row pages of the shared table, cut for
+    the call and indexed by its high and low bytes.  Equal rows then
     share one tuple, and no call builds more tuples than it returns rows.
-    Other groups are transposed with ``zip`` over one 0/1 byte string per
-    mask: a page row costs a few ``zip`` rows to build, so with fewer
-    vectors per row the pages cost more than they save.  Either way the
-    cost is linear in ``total * len(masks)``; extracting bit v with a shift
-    would copy the whole mask per vector.  With no masks there are still
-    ``total`` rows, all empty.
+    Other groups are transposed with ``zip`` over one 0/1 byte column per
+    mask, each read from its group's column by one ``translate``.  Pages
+    need 8 vectors per row because with fewer, a call would build and keep
+    a shared table far larger than what it reads of it.  Either way the
+    cost is linear in ``total * len(masks)``; extracting bit v with a
+    shift would copy the whole mask per vector.  With no masks there are
+    still ``total`` rows, all empty.
     """
     k = len(masks)
     if not k:
         return repeat((), total)
     if k <= 8:
         col, = _columns(masks, total)
-        return map(_byte_rows(k).__getitem__, col)
+        return map(_row_table(k).__getitem__, col)
     if k <= 16 and 1 << (k + 3) <= total:
         lo, hi = _columns(masks, total)
-        rows = _enumeration(k)
+        rows = _row_table(k)
         pages = [rows[i:i + 256] for i in range(0, len(rows), 256)]
         return map(getitem, map(pages.__getitem__, hi), lo)
-    fmt = f"0{total}b"
-    return zip(*(format(m, fmt)[::-1].encode("ascii").translate(_DIGIT_BITS[0])
-                 for m in masks))
+    bits = [col.translate(table) for col in _columns(masks, total)
+            for table in _BIT_OF_BYTE]
+    return zip(*bits[:k])
 
 
 def truth_table(net: Netlist):
@@ -618,7 +659,7 @@ def truth_table(net: Netlist):
     group: linear in the number of vectors times the boundary width.  The
     input rows are :func:`_enumeration`'s and the output and garbage rows
     :func:`_rows`', so a row is about one new tuple per vector: the
-    ``(ins, outs, garb)`` triple, plus the input tuple above 8 inputs and
+    ``(ins, outs, garb)`` triple, plus the input tuple above 16 inputs and
     the side tuples of groups too wide for the shared tables.
     """
     _check_valid(net)

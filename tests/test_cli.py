@@ -406,6 +406,23 @@ def test_sim_refuses_malformed_and_repeated_operands(capsys, assignment,
         2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("assignment, message", [
+    ("a=" + "0" * 5000 + "9,b=0,cin=0",
+     "cannot parse value '00000000000000000000'...'00000000000000000009' "
+     "(5,001 characters) (use decimal, 0x hex or 0b binary)"),
+    ("a=1,b=0,cin=0," + "x" * 5000,
+     "malformed input assignment 'xxxxxxxxxxxxxxxxxxxx'..."
+     "'xxxxxxxxxxxxxxxxxxxx' (5,000 characters) (expected name=value)"),
+    ("a=1,b=0,cin=0," + "q" * 5000 + "=1",
+     "unknown operand 'qqqqqqqqqqqqqqqqqqqq'...'qqqqqqqqqqqqqqqqqqqq' "
+     "(5,000 characters); this netlist has: a, b, cin"),
+], ids=["value", "assignment", "operand"])
+def test_long_input_text_is_clipped_in_usage_errors(capsys, assignment,
+                                                    message):
+    assert run(capsys, "sim", "rca:4", "--inputs", assignment) == (
+        2, "", f"error: {message}\n")
+
+
 def test_non_integer_sample_count_is_a_usage_error(capsys):
     code, out, err = run(capsys, "verify", "fa", "--samples", "x")
     assert (code, out) == (2, "")

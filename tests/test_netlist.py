@@ -1,6 +1,7 @@
 """Netlist structure, validation categories, simulation, tables, metrics."""
 
 import dataclasses
+import operator
 import os
 import re
 import subprocess
@@ -607,6 +608,54 @@ def test_rows_of_sixteen_masks_read_pages():
             for v in range(total))
     got = netlist._rows(masks, total)
     assert all(a == b for a, b in zip_longest(got, want))
+
+
+# ASCII '0' or '1' for bit j of a byte, as format() writes a bit
+_BIT_DIGITS = [bytes(48 + ((b >> j) & 1) for b in range(256)) for j in range(8)]
+
+
+@pytest.mark.parametrize("total", [1, 2, 4, 8, 9, 64, 4096, 1 << 16])
+def test_columns_match_a_per_bit_reference(total):
+    # groups of 1 to 8 masks, and a partial last group after one or two
+    # full ones; byte v of column g must hold bit v of mask 8g+j at bit j,
+    # read here from each mask's binary digits, low bit first
+    rng = Random(total)
+    for k in [*range(1, 9), 9, 15, 17]:
+        masks = [rng.getrandbits(total) for _ in range(k)]
+        cols = list(netlist._columns(masks, total))
+        assert len(cols) == (k + 7) // 8, (total, k)
+        for g, col in enumerate(cols):
+            group = masks[8 * g:8 * g + 8]
+            assert len(col) == total, (total, k, g)
+            for j, m in enumerate(group):
+                assert (col.translate(_BIT_DIGITS[j]).decode()
+                        == format(m, f"0{total}b")[::-1]), (total, k, g, j)
+            for j in range(len(group), 8):  # bits of no mask stay clear
+                assert col.translate(_BIT_DIGITS[j]) == b"0" * total
+
+
+@pytest.mark.parametrize("k", range(9, 17))
+def test_enumeration_up_to_sixteen_bits_is_built_once(k):
+    rows = netlist._enumeration(k)
+    assert netlist._enumeration(k) is rows
+    assert len(rows) == 1 << k
+    for v in (0, 1, 255, 256, (1 << k) - 1):
+        assert rows[v] == tuple((v >> j) & 1 for j in range(k))
+
+
+def test_truth_tables_of_one_width_share_their_input_rows():
+    a = truth_table(random_fanout_free(Random(1), "rnd10a", 10, 2, 12))
+    b = truth_table(random_fanout_free(Random(2), "rnd10b", 10, 1, 9))
+    assert len(a) == len(b) == 1 << 10
+    assert all(map(operator.is_, (r[0] for r in a), (r[0] for r in b)))
+
+
+def test_enumeration_above_sixteen_bits_is_rebuilt_per_call():
+    first = netlist._enumeration(17)
+    second = netlist._enumeration(17)
+    assert first is not second and first == second
+    assert not any(map(operator.is_, first, second))
+    assert first[(1 << 17) - 1] == (1,) * 17
 
 
 @pytest.mark.parametrize("net", [
